@@ -16,18 +16,20 @@ completion order.  Guarantees:
 * **Progress** — an optional callback fires in the parent process as
   each job resolves.
 
-Workers are plain :mod:`multiprocessing` pool processes (``fork`` where
-available, ``spawn`` otherwise); jobs and results cross the boundary by
-pickling, which every model object supports.
+Jobs run in-process when one worker would do and no job needs
+isolation (no timeout, retry, chaos plan or per-job deadline);
+otherwise they run on the supervised pool
+(:class:`~repro.resilience.supervisor.Supervisor`), and jobs and
+results cross the process boundary by pickling, which every model
+object supports.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 import pickle
-import queue
-import sys
 import threading
 import traceback
 from collections.abc import Callable, Sequence
@@ -86,15 +88,16 @@ class JobResult:
     #: Terminal classification: ``ok`` / ``failed`` / ``timeout`` /
     #: ``crashed`` / ``poisoned`` / ``interrupted``.  Plain failures
     #: and successes are set by the worker; ``crashed`` / ``poisoned``
-    #: (and parent-kill timeouts) only arise under the resilient
-    #: supervisor; ``interrupted`` marks jobs never dispatched because
-    #: the run was interrupted (SIGINT) mid-drain.
+    #: (and parent-kill timeouts) only arise on the supervised pool;
+    #: ``interrupted`` marks jobs never dispatched because the run was
+    #: interrupted (SIGINT) mid-drain.
     outcome: str = "ok"
     #: Attempts consumed to reach this terminal result (1 = no retry).
     attempts: int = 1
     #: Wall seconds of every attempt, dispatch to settlement, in order;
-    #: ``None`` outside the resilient path.  The last entry matches
-    #: :attr:`seconds` when the final attempt returned a result.
+    #: ``None`` on the in-process path (and in cache entries).  The
+    #: last entry matches :attr:`seconds` when the final attempt
+    #: returned a result.
     attempt_seconds: tuple[float, ...] | None = None
 
     @property
@@ -116,7 +119,7 @@ class TimedResult:
 
     result: JobResult
     arrival: float
-    #: When the parent picked the job up (cache lookup / pool submit);
+    #: When the parent picked the job up (its cache lookup);
     #: ``finished - dispatched`` bounds a cache hit's parent-side cost.
     dispatched: float
     finished: float
@@ -239,16 +242,21 @@ def _execute_one(
         )
 
 
-def _pool_worker_init() -> None:
-    """Pool-worker initializer: ignore SIGINT (a terminal Ctrl-C hits
-    the whole process group; interruption is the parent's job — see
-    ``BatchRunner``'s ``interrupt`` parameter)."""
-    import signal
+def cache_entry(job_result: JobResult) -> JobResult:
+    """The copy of a fresh success that goes into a result cache.
 
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
+    Execution circumstance (index, timing, attempt history, worker
+    metrics) is stripped, so a cached replay of a retried job compares
+    equal to a fault-free one, whichever front end wrote the entry.
+    """
+    return replace(
+        job_result,
+        job_index=-1,
+        seconds=None,
+        attempts=1,
+        attempt_seconds=None,
+        metrics=None,
+    )
 
 
 class BatchRunner:
@@ -257,8 +265,7 @@ class BatchRunner:
     Parameters
     ----------
     n_jobs:
-        Worker processes; ``1`` runs in-process (no pool overhead),
-        ``<= 0`` means one per CPU.
+        Worker processes; ``<= 0`` means one per CPU.
     cache:
         A :class:`ResultCache`, a cache-directory path, or ``None``
         for no caching (equivalent to :class:`NullCache`).  Any object
@@ -268,28 +275,27 @@ class BatchRunner:
         Optional callback fired in the parent as each job resolves.
     timeout:
         Default per-job wall-clock budget, seconds (a job's own
-        :attr:`CompileJob.deadline` overrides it).  Setting it engages
-        the resilient execution path.
+        :attr:`CompileJob.deadline` overrides it).
     retry:
         :class:`~repro.resilience.policy.RetryPolicy` for failed /
-        timed-out / crashed attempts.  Setting it engages the
-        resilient execution path.
+        timed-out / crashed attempts.
     chaos:
         :class:`~repro.resilience.faults.FaultPlan` to inject faults
-        (testing only).  Setting it engages the resilient path.
+        (testing only).
     interrupt:
         Optional :class:`threading.Event`.  Once set (typically by a
         SIGINT handler), the runner stops dispatching new jobs, drains
         whatever is already in flight, and marks never-dispatched jobs
         with outcome ``interrupted`` — a partial-but-accounted-for
-        result list, never a KeyboardInterrupt mid-pool.
+        result list, never a KeyboardInterrupt mid-run.
         :attr:`interrupted` reports whether a run was cut short.
 
-    With none of the resilience options set (and no interrupt event),
-    ``run`` takes the legacy in-process / ``multiprocessing.Pool``
-    path untouched — the fault machinery is inert by construction, not
-    merely disabled (the ``bench_load`` A/B gate holds the
-    supervised-but-uninjected path to ≤5% overhead on top of that).
+    Jobs run in-process when one worker would do (``n_jobs`` or the
+    number of jobs to run is 1) and no job needs isolation (no timeout,
+    retry, chaos plan or per-job deadline).  Otherwise they run on the
+    supervised pool (:class:`~repro.resilience.supervisor.Supervisor`),
+    where every wait is bounded and a dead worker surfaces as a
+    ``crashed`` result instead of a hang.
     """
 
     def __init__(
@@ -334,15 +340,6 @@ class BatchRunner:
             outcome="interrupted",
         )
 
-    def _resilient(self, jobs: Sequence[CompileJob]) -> bool:
-        """Whether this run needs the supervised execution path."""
-        return (
-            self.timeout is not None
-            or self.retry is not None
-            or self.chaos is not None
-            or any(job.deadline is not None for job in jobs)
-        )
-
     @property
     def cache_stats(self) -> CacheStats:
         """Hit/miss stats of the underlying cache."""
@@ -364,11 +361,11 @@ class BatchRunner:
         # Cache pass: satisfy what we can before touching the pool, and
         # collapse identical jobs so each fingerprint compiles once.
         obs = _obs_active()
-        observed = obs is not None
+        keys = [job.fingerprint() for job in jobs]
         pending: dict[str, list[int]] = {}
-        to_run: list[tuple[int, CompileJob, str, bool]] = []
+        work: list[tuple[int, CompileJob]] = []
         for index, job in enumerate(jobs):
-            key = job.fingerprint()
+            key = keys[index]
             if key in pending:
                 self.deduplicated += 1
                 if obs is not None:
@@ -383,162 +380,134 @@ class BatchRunner:
                 )
                 continue
             pending[key] = [index]
-            to_run.append((index, job, key, observed))
+            work.append((index, job))
 
         if obs is not None:
             obs.metrics.inc("batch.jobs", total)
         logger.debug(
             "batch: %d jobs -> %d to run (%d cached, %d deduplicated)",
             total,
-            len(to_run),
+            len(work),
             done,
-            total - done - len(to_run),
+            total - done - len(work),
         )
 
-        if to_run:
-            if self._resilient(jobs):
-                # Supervised path: per-job deadlines, retry, crash
-                # detection and quarantine.  Always subprocess-backed
-                # (even at n_jobs=1) so a crash or stall is isolated
-                # from the parent.
-                self._run_supervised(to_run, pending, resolve)
-            elif self.n_jobs == 1 or len(to_run) == 1:
-                for payload in to_run:
-                    if self._interrupt_set():
-                        self.interrupted = True
-                        job_result = self._interrupted_result(
-                            payload[0], payload[2]
-                        )
-                    else:
-                        job_result = _execute_indexed(payload)
-                    self._finish(job_result, pending, resolve)
-            else:
-                # Prefer the cheap fork start only on Linux; macOS
-                # lists "fork" as available but forked children there
-                # can abort inside system frameworks (hence CPython's
-                # own switch of the darwin default to "spawn").
-                methods = multiprocessing.get_all_start_methods()
-                use_fork = sys.platform == "linux" and "fork" in methods
-                ctx = multiprocessing.get_context(
-                    "fork" if use_fork else "spawn"
-                )
-                workers = min(self.n_jobs, len(to_run))
-                with ctx.Pool(
-                    processes=workers, initializer=_pool_worker_init
-                ) as pool:
-                    if self.interrupt is None:
-                        for job_result in pool.imap_unordered(
-                            _execute_indexed, to_run
-                        ):
-                            self._finish(job_result, pending, resolve)
-                    else:
-                        self._run_pool_interruptible(
-                            pool, workers, to_run, pending, resolve
-                        )
+        def finish(job_result: JobResult) -> None:
+            self._finish(
+                job_result, pending.pop(job_result.fingerprint), resolve
+            )
+
+        skipped = self._dispatch(
+            work, lambda index, _job: keys[index], finish
+        )
+        for index in skipped:
+            finish(self._interrupted_result(index, keys[index]))
 
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
 
-    def _run_pool_interruptible(
+    def _dispatch(
         self,
-        pool,
-        workers: int,
-        to_run: list[tuple[int, CompileJob, str, bool]],
-        pending: dict[str, list[int]],
-        resolve: Callable[[int, JobResult], None],
-    ) -> None:
-        """Pool dispatch with a bounded submission window so an
-        interrupt can stop *queuing* work: in-flight jobs finish, the
-        rest are marked ``interrupted``.  (``imap_unordered`` queues
-        everything upfront — nothing could be withheld.)  The window is
-        two tasks per worker: enough that a finishing worker always has
-        a queued successor, small enough that a drain stays short."""
-        completed: queue.SimpleQueue = queue.SimpleQueue()
-        backlog = list(reversed(to_run))
-        outstanding = 0
-        while backlog or outstanding:
-            while (
-                backlog
-                and outstanding < 2 * workers
-                and not self._interrupt_set()
-            ):
-                pool.apply_async(
-                    _execute_indexed,
-                    (backlog.pop(),),
-                    callback=completed.put,
-                )
-                outstanding += 1
-            if backlog and self._interrupt_set():
+        work: Sequence[tuple[int, CompileJob]],
+        admit: Callable[[int, CompileJob], str | None],
+        finish: Callable[[JobResult], None],
+        due: Sequence[float] | None = None,
+    ) -> list[int]:
+        """Execute ``work`` in order; every terminal result goes to
+        ``finish``.  Returns the indices left undispatched because the
+        interrupt event fired (in-flight jobs are drained first).
+
+        ``admit(index, job)`` runs when the job's turn comes and returns
+        its fingerprint, or ``None`` once it has settled the job itself
+        (a cache hit).  ``due[index]``, if given, is the
+        :func:`~time.perf_counter` instant before which job ``index``
+        is not dispatched.
+
+        One worker with no isolation need runs jobs in-process.
+        Otherwise a :class:`Supervisor` gets at most two jobs per worker
+        at a time: enough that a finishing worker always has a queued
+        successor, few enough that an interrupt drains quickly.
+        """
+        if not work:
+            return []
+        workers = min(self.n_jobs, len(work))
+        isolate = (
+            self.timeout is not None
+            or self.retry is not None
+            or self.chaos is not None
+            or any(job.deadline is not None for _index, job in work)
+        )
+        if workers == 1 and not isolate:
+            supervisor = None
+        else:
+            # Lazy import: the resilience package imports this module.
+            from ..resilience.supervisor import Supervisor
+
+            supervisor = Supervisor(
+                workers,
+                retry=self.retry,
+                timeout=self.timeout,
+                chaos=self.chaos,
+            )
+        observed = _obs_active() is not None
+
+        def settle(timeout: float) -> None:
+            for job_result in supervisor.poll(timeout):
+                finish(job_result)
+
+        def ready(start: float, window: float) -> bool:
+            """Wait, settling completions, until ``start`` has passed
+            and fewer than ``window`` jobs are in flight; ``False`` if
+            interrupted first."""
+            while not self._interrupt_set():
+                delay = start - perf_counter()
+                if supervisor is None or not supervisor.pending:
+                    if delay <= 0:
+                        return True
+                    sleep(delay)
+                elif delay > 0:
+                    settle(min(delay, 0.05))
+                elif supervisor.pending < window:
+                    return True
+                else:
+                    settle(0.25)
+            return False
+
+        skipped: list[int] = []
+        try:
+            for position, (index, job) in enumerate(work):
+                start = 0.0 if due is None else due[index]
+                # Admission (a cache hit included) happens on arrival;
+                # only a job that must execute waits for window room.
+                if ready(start, math.inf):
+                    key = admit(index, job)
+                    if key is None:
+                        continue
+                    if supervisor is None:
+                        finish(_execute_indexed((index, job, key, observed)))
+                        continue
+                    if ready(start, 2 * workers):
+                        supervisor.submit(index, job, key, observed)
+                        continue
                 self.interrupted = True
-                while backlog:
-                    index, _job, key, _observed = backlog.pop()
-                    self._finish(
-                        self._interrupted_result(index, key),
-                        pending,
-                        resolve,
-                    )
-                continue
-            if outstanding:
-                self._finish(completed.get(), pending, resolve)
-                outstanding -= 1
-
-    def _run_supervised(
-        self,
-        to_run: list[tuple[int, CompileJob, str, bool]],
-        pending: dict[str, list[int]],
-        resolve: Callable[[int, JobResult], None],
-    ) -> None:
-        """Drain ``to_run`` through a :class:`Supervisor` (lazy import:
-        the resilience package imports this module back)."""
-        from ..resilience.supervisor import Supervisor
-
-        workers = max(1, min(self.n_jobs, len(to_run)))
-        with Supervisor(
-            workers,
-            retry=self.retry,
-            timeout=self.timeout,
-            chaos=self.chaos,
-        ) as supervisor:
-            if self.interrupt is None:
-                backlog: list = []
-                for index, job, key, observed in to_run:
-                    supervisor.submit(index, job, key, observed)
-            else:
-                # Interruptible: bounded submission window (as in the
-                # pool path) so a SIGINT drains in-flight work instead
-                # of compiling the whole backlog first.
-                backlog = list(reversed(to_run))
-            remaining = len(to_run)
-            while remaining:
-                while (
-                    backlog
-                    and supervisor.pending < 2 * workers
-                    and not self._interrupt_set()
-                ):
-                    index, job, key, observed = backlog.pop()
-                    supervisor.submit(index, job, key, observed)
-                if backlog and self._interrupt_set():
-                    self.interrupted = True
-                    while backlog:
-                        index, _job, key, _observed = backlog.pop()
-                        self._finish(
-                            self._interrupted_result(index, key),
-                            pending,
-                            resolve,
-                        )
-                        remaining -= 1
-                    continue
-                for job_result in supervisor.poll(0.25):
-                    self._finish(job_result, pending, resolve)
-                    remaining -= 1
+                skipped = [index for index, _job in work[position:]]
+                break
+            while supervisor is not None and supervisor.pending:
+                settle(0.25)
+        finally:
+            if supervisor is not None:
+                supervisor.close()
+        return skipped
 
     def _finish(
         self,
         job_result: JobResult,
-        pending: dict[str, list[int]],
+        indices: list[int],
         resolve: Callable[[int, JobResult], None],
     ) -> None:
-        """Store a fresh result and fan it out to duplicate indices."""
+        """Merge a terminal result's worker metrics, cache it if it is
+        a fresh success, and resolve it at every index in ``indices``
+        (the job and its in-run duplicates)."""
         if job_result.metrics is not None:
             obs = _obs_active()
             if obs is not None:
@@ -546,21 +515,9 @@ class BatchRunner:
                 # duplicates and cache hits never double-count.
                 obs.metrics.merge(job_result.metrics)
             job_result = replace(job_result, metrics=None)
-        if job_result.ok:
-            self.cache.put(
-                job_result.fingerprint,
-                # Attempt history is execution circumstance, not result
-                # content: stripped (like seconds) so a cached replay
-                # of a retried job compares equal to a fault-free one.
-                replace(
-                    job_result,
-                    job_index=-1,
-                    seconds=None,
-                    attempts=1,
-                    attempt_seconds=None,
-                ),
-            )
-        for index in pending.pop(job_result.fingerprint):
+        if job_result.ok and not job_result.cache_hit:
+            self.cache.put(job_result.fingerprint, cache_entry(job_result))
+        for index in indices:
             resolve(index, replace(job_result, job_index=index))
 
     def run_timed(
@@ -589,12 +546,6 @@ class BatchRunner:
         * **Results are returned in completion order** with their
           timeline attached (the caller sorts by ``job_index`` when it
           needs job order).
-
-        Concurrent execution runs on the supervised pool
-        (:class:`~repro.resilience.supervisor.Supervisor`) whether or
-        not resilience options are set: every wait is a bounded poll
-        with worker liveness checks, so a vanished worker surfaces as
-        a ``crashed`` result instead of hanging the harness forever.
         """
         total = len(jobs)
         if arrivals is None:
@@ -603,113 +554,43 @@ class BatchRunner:
             raise ValueError(
                 f"{len(arrivals)} arrivals for {total} jobs"
             )
-        obs = _obs_active()
-        observed = obs is not None
         timed: list[TimedResult] = []
-        dispatch_times: dict[int, float] = {}
-        done = 0
+        dispatched: dict[int, float] = {}
         t_zero = perf_counter()
 
-        def finish(job_result: JobResult, finished: float) -> None:
-            nonlocal done
-            if job_result.metrics is not None:
-                parent = _obs_active()
-                if parent is not None:
-                    parent.metrics.merge(job_result.metrics)
-                job_result = replace(job_result, metrics=None)
-            if job_result.ok and not job_result.cache_hit:
-                self.cache.put(
-                    job_result.fingerprint,
-                    replace(
-                        job_result,
-                        job_index=-1,
-                        seconds=None,
-                        attempts=1,
-                        attempt_seconds=None,
-                    ),
-                )
+        def resolve(index: int, job_result: JobResult) -> None:
             timed.append(
                 TimedResult(
                     result=job_result,
-                    arrival=arrivals[job_result.job_index],
-                    dispatched=dispatch_times[job_result.job_index],
-                    finished=finished,
+                    arrival=arrivals[index],
+                    dispatched=dispatched[index],
+                    finished=perf_counter() - t_zero,
                 )
             )
-            done += 1
             if self.progress is not None:
-                self.progress(done, total, jobs[job_result.job_index], job_result)
+                self.progress(len(timed), total, jobs[index], job_result)
 
-        supervisor = None
-        if self._resilient(jobs) or (self.n_jobs > 1 and total > 1):
-            from ..resilience.supervisor import Supervisor
+        def finish(job_result: JobResult) -> None:
+            self._finish(job_result, [job_result.job_index], resolve)
 
-            supervisor = Supervisor(
-                max(1, min(self.n_jobs, total)),
-                retry=self.retry,
-                timeout=self.timeout,
-                chaos=self.chaos,
-            )
+        def admit(index: int, job: CompileJob) -> str | None:
+            dispatched[index] = perf_counter() - t_zero
+            key = job.fingerprint()
+            cached = self.cache.get(key)
+            if cached is None:
+                return key
+            finish(replace(cached, job_index=index, cache_hit=True))
+            return None
 
-        def settle(poll_timeout: float) -> None:
-            for job_result in supervisor.poll(poll_timeout):
-                finish(job_result, perf_counter() - t_zero)
-
-        try:
-            for index, job in enumerate(jobs):
-                if self._interrupt_set():
-                    # Stop submitting; in-flight work settles below and
-                    # never-dispatched jobs get `interrupted` results,
-                    # so the timeline stays fully accounted for.
-                    self.interrupted = True
-                    break
-                delay = t_zero + arrivals[index] - perf_counter()
-                if supervisor is None:
-                    if delay > 0:
-                        sleep(delay)
-                else:
-                    # Wait out the inter-arrival gap *while* settling
-                    # completions, in bounded slices — the poll wakes
-                    # early on any worker event.
-                    while delay > 0:
-                        if supervisor.pending:
-                            settle(min(delay, 0.05))
-                        else:
-                            sleep(delay)
-                        delay = t_zero + arrivals[index] - perf_counter()
-                    settle(0.0)
-                dispatch_times[index] = perf_counter() - t_zero
-                key = job.fingerprint()
-                cached = self.cache.get(key)
-                if cached is not None:
-                    finish(
-                        replace(cached, job_index=index, cache_hit=True),
-                        perf_counter() - t_zero,
-                    )
-                    continue
-                payload = (index, job, key, observed)
-                if supervisor is None:
-                    job_result = _execute_indexed(payload)
-                    finish(job_result, perf_counter() - t_zero)
-                else:
-                    supervisor.submit(index, job, key, observed)
-            if self.interrupted:
-                while supervisor is not None and supervisor.pending:
-                    settle(0.25)
-                now = perf_counter() - t_zero
-                for index, job in enumerate(jobs):
-                    if index in dispatch_times:
-                        continue
-                    dispatch_times[index] = now
-                    finish(
-                        self._interrupted_result(index, job.fingerprint()),
-                        now,
-                    )
-            while done < total:
-                settle(0.25)
-        finally:
-            if supervisor is not None:
-                supervisor.close()
+        skipped = self._dispatch(
+            list(enumerate(jobs)),
+            admit,
+            finish,
+            [t_zero + arrival for arrival in arrivals],
+        )
+        for index in skipped:
+            dispatched[index] = perf_counter() - t_zero
+            finish(self._interrupted_result(index, jobs[index].fingerprint()))
         return timed
 
     def run_or_raise(self, jobs: Sequence[CompileJob]) -> list[JobResult]:

@@ -5,11 +5,11 @@ Two halves, by design:
 * **Defense** — :class:`RetryPolicy`, :class:`Supervisor`,
   :class:`SupervisedPool`: per-job deadlines, retry with seeded
   exponential backoff, worker-crash detection with pool
-  replenishment, poisoned-job quarantine.  :class:`BatchRunner`
-  engages this path only when a resilience option is set; without
-  one it runs the legacy pool byte-for-byte (the inertness gate in
-  ``benchmarks/bench_load.py`` holds it to ≤5% overhead even with
-  the machinery on and injection off).
+  replenishment, poisoned-job quarantine.  :class:`BatchRunner` runs
+  jobs in-process for one worker with no isolation need (no timeout,
+  retry, chaos plan or job deadline) and on this supervised pool
+  otherwise; the inertness gate in ``benchmarks/bench_load.py`` holds
+  arming retry + timeout (injection off) to ≤5% overhead.
 * **Attack** — :class:`FaultPlan`, :class:`ChaosCache`: seeded,
   JSON round-trippable fault injection whose every decision is a
   pure function of (plan, job key, attempt), so chaos runs are

@@ -1,11 +1,11 @@
 """A crash-aware process pool with per-worker pipes.
 
-``multiprocessing.Pool`` cannot tell *which* job a dead worker was
-holding, and a vanished worker leaves ``apply_async`` callbacks that
-simply never fire — the exact hang this layer exists to remove.
+Workers that share one task queue cannot tell *which* job a dead
+worker was holding, and a vanished worker leaves completion callbacks
+that simply never fire — the exact hang this layer exists to remove.
 :class:`SupervisedPool` instead gives every worker its own duplex
 :func:`multiprocessing.Pipe` and keeps **one task in flight per
-worker**, which makes three things trivial that ``Pool`` makes
+worker**, which makes three things trivial that a shared queue makes
 impossible:
 
 * **crash attribution** — EOF on a worker's pipe names the task it was

@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import monotonic, time
 
 from ..batch.cache import NullCache, ResultCache
-from ..batch.runner import JobResult
+from ..batch.runner import JobResult, cache_entry
 from ..batch.spec import JobSpec
 from ..obs import active as _obs_active
 from ..resilience.policy import RetryPolicy
@@ -262,9 +262,9 @@ class CompileService:
                 self._records[record.job_id] = record
                 self._count("serve.admitted")
                 self._count("serve.cache_hits")
-                self._complete(
-                    record, replace_cached(cached), cache_hit=True
-                )
+                # A hit carries no timing: the record's ``seconds``
+                # stays ``None``.
+                self._complete(record, cached, cache_hit=True)
                 return record
             if self._pending >= self.config.max_queue_depth:
                 self._count("serve.shed")
@@ -432,9 +432,7 @@ class CompileService:
         if job_result.ok:
             # Atomic content-addressed write (collector thread only) —
             # kept outside the lock like the read side.
-            self.cache.put(
-                job_result.fingerprint, strip_for_cache(job_result)
-            )
+            self.cache.put(job_result.fingerprint, cache_entry(job_result))
         with self._lock:
             self._complete(record, job_result, cache_hit=False)
 
@@ -592,21 +590,3 @@ class CompileService:
         if obs is not None:
             obs.metrics.observe(name, value)
 
-
-def strip_for_cache(job_result: JobResult) -> JobResult:
-    """A cacheable copy: execution circumstance (index, timing,
-    attempts) stripped, matching the batch runner's convention."""
-    return replace(
-        job_result,
-        job_index=-1,
-        seconds=None,
-        attempts=0,
-        attempt_seconds=(),
-        metrics=None,
-    )
-
-
-def replace_cached(cached: JobResult) -> JobResult:
-    """A cached value as a fresh terminal result (cache hits carry no
-    timing; the record's ``seconds`` stays ``None``)."""
-    return replace(cached, cache_hit=True)

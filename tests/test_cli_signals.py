@@ -126,7 +126,8 @@ class TestLoadSigint:
 
 
 class TestSweepSigint:
-    def test_partial_sweep_exits_130(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_partial_sweep_exits_130(self, tmp_path, jobs):
         # ~20 jobs x ~150 ms keeps total runtime bounded even if the
         # signal were mishandled, while leaving seconds of runway.
         benchmarks = ",".join(
@@ -141,6 +142,8 @@ class TestSweepSigint:
             "--configs",
             "baseline",
             "--no-cache",
+            "--jobs",
+            jobs,
         )
         tail = _StderrTail(proc)
         try:

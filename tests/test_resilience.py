@@ -300,6 +300,58 @@ class TestHardKilledWorker:
         assert not result.ok
         assert "worker process died" in result.error
 
+    def test_default_run_survives_a_killed_worker(
+        self, monkeypatch, tmp_path
+    ):
+        """A plain ``BatchRunner(n_jobs=2).run`` — no resilience option
+        set — with one worker SIGKILLed mid-job must return that job as
+        ``crashed`` and every other job ``ok``, not wait forever."""
+        import multiprocessing
+        import os
+        import threading
+
+        import repro.batch.runner as runner_module
+
+        real_execute_job = runner_module.execute_job
+        marker = tmp_path / "victim.pid"
+
+        def stalling_execute_job(job):
+            if job.circuit.name.startswith("slow"):
+                marker.write_text(str(os.getpid()))
+                sleep(300.0)
+            return real_execute_job(job)
+
+        # fork start method: workers inherit the patched module.
+        monkeypatch.setattr(
+            runner_module, "execute_job", stalling_execute_job
+        )
+        slow = random_circuit(8, 30, seed=1)
+        slow.name = "slow-victim"
+        jobs = [
+            CompileJob(slow, tiny_machine(), CompilerConfig(name="cfg"))
+        ] + tiny_jobs(3)
+        killed = []
+
+        def kill_victim():
+            for _ in range(600):
+                if marker.exists() and marker.read_text():
+                    break
+                sleep(0.05)
+            pid = int(marker.read_text())
+            children = {p.pid for p in multiprocessing.active_children()}
+            killed.append(pid in children)
+            os.kill(pid, signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_victim, daemon=True)
+        killer.start()
+        with no_hang():
+            results = BatchRunner(n_jobs=2).run(jobs)
+        killer.join(timeout=10)
+        assert killed == [True]
+        assert [r.outcome for r in results] == ["crashed", "ok", "ok", "ok"]
+        assert "worker process died" in results[0].error
+        assert all(r.ok for r in results[1:])
+
     def test_run_timed_survives_crashed_workers(self):
         """The old ``completions.get(timeout=None)`` path hung forever
         when a worker vanished; every job must now settle."""
@@ -446,20 +498,16 @@ class TestInertness:
     def test_disabled_machinery_never_touches_the_supervisor(
         self, monkeypatch
     ):
-        """Without resilience options the legacy path runs: the
-        supervisor layer is not even constructed (inert by
-        construction, which is what the bench A/B gate measures)."""
+        """One worker without resilience options runs in-process: the
+        supervisor layer is not even constructed."""
         import repro.resilience.supervisor as supervisor_module
 
         def boom(*args, **kwargs):
-            raise AssertionError("supervisor constructed on legacy path")
+            raise AssertionError("supervisor constructed on in-process path")
 
         monkeypatch.setattr(supervisor_module, "Supervisor", boom)
         jobs = tiny_jobs(3)
         results = BatchRunner(n_jobs=1).run(jobs)
-        assert all(r.ok for r in results)
-        # Pooled run() without resilience options: still legacy.
-        results = BatchRunner(n_jobs=2).run(jobs)
         assert all(r.ok for r in results)
 
     def test_default_jobresult_fields_are_inert(self):

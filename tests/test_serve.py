@@ -423,6 +423,42 @@ class TestLifecycle:
         artifacts = fresh.artifacts(record.job_id)
         assert artifacts["cache_hit"] is True
 
+    def test_cache_entries_match_the_batch_runner(self, tmp_path):
+        """``repro serve`` and ``BatchRunner`` write the same cache
+        entry for the same job, so a hit reports the same attempts
+        whichever front end compiled it."""
+        from dataclasses import replace
+
+        from repro.batch import BatchRunner
+
+        from test_batch import result_blob
+
+        payload = tiny_payload(seed=11)
+        spec = JobSpec.from_dict(payload)
+        key = spec.fingerprint()
+        BatchRunner(cache=ResultCache(tmp_path / "runner")).run(
+            [spec.resolve()]
+        )
+        with CompileService(FAST_CONFIG, ResultCache(tmp_path / "serve")) as service:
+            wait_done(service, service.submit(payload, "alice").job_id)
+            assert service.drain() is True
+        # The disk cache pickles on put and unpickles on get.
+        runner_entry = ResultCache(tmp_path / "runner").get(key)
+        serve_entry = ResultCache(tmp_path / "serve").get(key)
+        assert result_blob(runner_entry.result) == result_blob(
+            serve_entry.result
+        )
+        assert runner_entry.report == serve_entry.report
+        assert replace(runner_entry, result=None, report=None) == replace(
+            serve_entry, result=None, report=None
+        )
+        assert serve_entry.attempts == 1
+        assert serve_entry.attempt_seconds is None
+        hit = CompileService(FAST_CONFIG, ResultCache(tmp_path / "serve"))
+        record = hit.submit(payload, "bob")
+        assert record.cache_hit is True
+        assert hit.status(record.job_id)["attempts"] == 1
+
     def test_housekeeper_expires_done_records(self):
         with CompileService(FAST_CONFIG) as service:
             record = service.submit(tiny_payload(seed=5), "alice")
