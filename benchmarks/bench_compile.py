@@ -41,7 +41,9 @@ Run with ``pytest benchmarks/bench_compile.py``.
 import json
 import os
 import time
+from contextlib import contextmanager
 
+import pytest
 from conftest import write_result
 
 BASELINE_PATH = os.path.join(
@@ -78,6 +80,15 @@ OBS_SLACK = float(os.environ.get("REPRO_OBS_SLACK", "1.05"))
 MIN_REPLAY_SPEEDUP = 2.0
 
 PHASES = ("compile", "optimize", "simulate", "verify")
+
+
+@contextmanager
+def replay_kernel(vector: bool):
+    """Select the replay kernel for the block through its one switch,
+    the ``REPRO_VECTOR_KERNEL`` environment variable."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_VECTOR_KERNEL", "1" if vector else "0")
+        yield
 
 
 def _timed(thunk) -> float:
@@ -341,7 +352,6 @@ def test_replay_phase_vector_speedup(results_dir, machine):
     makespan and heating floats (simulate).
     """
     from repro.core.vector import HAVE_NUMPY
-    import pytest
 
     if not HAVE_NUMPY:
         pytest.skip("numpy unavailable: no vector kernel to benchmark")
@@ -366,13 +376,16 @@ def test_replay_phase_vector_speedup(results_dir, machine):
             (circuit.name, optimization.schedule, result.initial_chains)
         )
 
-    sim_vector = Simulator(machine, use_vector_kernel=True)
-    sim_scalar = Simulator(machine, use_vector_kernel=False)
+    simulator = Simulator(machine)
 
     # Semantics first: chains and observer-derived floats bit-identical.
     for name, schedule, chains in jobs:
-        report_v = sim_vector.run(schedule, chains)
-        report_s = sim_scalar.run(schedule, chains)
+        with replay_kernel(vector=True):
+            report_v = simulator.run(schedule, chains)
+            final_v = verify_schedule(machine, schedule, chains)
+        with replay_kernel(vector=False):
+            report_s = simulator.run(schedule, chains)
+            final_s = verify_schedule(machine, schedule, chains)
         for field in (
             "program_log_fidelity",
             "duration",
@@ -384,30 +397,23 @@ def test_replay_phase_vector_speedup(results_dir, machine):
                 f"{name}: vector kernel drifted on {field}: "
                 f"{getattr(report_v, field)!r} != {getattr(report_s, field)!r}"
             )
-        final_v = verify_schedule(
-            machine, schedule, chains, use_vector_kernel=True
-        )
-        final_s = verify_schedule(
-            machine, schedule, chains, use_vector_kernel=False
-        )
         assert final_v == final_s, (
             f"{name}: vector kernel produced different final chains"
         )
 
-    def replay_suite(simulator, use_vector: bool) -> float:
-        start = time.perf_counter()
-        for _, schedule, chains in jobs:
-            simulator.run(schedule, chains)
-            verify_schedule(
-                machine, schedule, chains, use_vector_kernel=use_vector
-            )
-        return time.perf_counter() - start
+    def replay_suite(vector: bool) -> float:
+        with replay_kernel(vector):
+            start = time.perf_counter()
+            for _, schedule, chains in jobs:
+                simulator.run(schedule, chains)
+                verify_schedule(machine, schedule, chains)
+            return time.perf_counter() - start
 
     # Interleaved repeats; minima cancel one-sided host drift.
     vector_times, scalar_times = [], []
     for _ in range(REPEATS):
-        vector_times.append(replay_suite(sim_vector, True))
-        scalar_times.append(replay_suite(sim_scalar, False))
+        vector_times.append(replay_suite(True))
+        scalar_times.append(replay_suite(False))
     vector_s, scalar_s = min(vector_times), min(scalar_times)
     speedup = scalar_s / vector_s if vector_s else float("inf")
 

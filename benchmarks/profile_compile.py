@@ -11,7 +11,6 @@ perf PR should find its target::
     python benchmarks/profile_compile.py --circuit QFT   # one benchmark
     python benchmarks/profile_compile.py --top 40 --sort tottime
     python benchmarks/profile_compile.py --baseline      # [7]'s config
-    python benchmarks/profile_compile.py --no-index      # reference scan path
     python benchmarks/profile_compile.py --phase simulate  # profile one phase
     python benchmarks/profile_compile.py --phase verify --no-vector
     python benchmarks/profile_compile.py --json profile.json
@@ -19,8 +18,9 @@ perf PR should find its target::
 ``--phase`` selects which pipeline stage runs under the profiler
 (``compile`` is the default; ``optimize``/``simulate``/``verify`` run
 the earlier stages unprofiled to build their input), and
-``--no-vector`` pins the scalar replay loop so the vectorized kernel's
-win — and any future erosion of it — is directly inspectable.
+``--no-vector`` pins the scalar replay loop (it sets
+``REPRO_VECTOR_KERNEL=0``) so the vectorized kernel's win — and any
+future erosion of it — is directly inspectable.
 
 With ``repro`` installed (``pip install -e .``) no ``PYTHONPATH`` is
 needed; an uninstalled source checkout falls back to ``../src``
@@ -132,11 +132,6 @@ def main() -> None:
         help="profile the [7] baseline config instead of this work's",
     )
     parser.add_argument(
-        "--no-index",
-        action="store_true",
-        help="profile the reference tail-scanning path (use_future_index=False)",
-    )
-    parser.add_argument(
         "--phase",
         default="compile",
         choices=["compile", "optimize", "simulate", "verify"],
@@ -146,7 +141,7 @@ def main() -> None:
     parser.add_argument(
         "--no-vector",
         action="store_true",
-        help="replay through the scalar loop (use_vector_kernel=False) "
+        help="replay through the scalar loop (sets REPRO_VECTOR_KERNEL=0) "
         "in the simulate/optimize/verify phases",
     )
     parser.add_argument(
@@ -156,11 +151,14 @@ def main() -> None:
         help="also write the top-N rows as JSON (use '-' for stdout)",
     )
     args = parser.parse_args()
+    if args.no_vector:
+        os.environ["REPRO_VECTOR_KERNEL"] = "0"
 
     from repro.bench.suite import paper_suite
     from repro.compiler.compiler import QCCDCompiler
     from repro.compiler.config import CompilerConfig
     from repro.compiler.mapping import greedy_initial_mapping
+    from repro.core.vector import vector_kernel_enabled
 
     machine = build_machine(args.machine)
     circuits = paper_suite(full=False)
@@ -174,14 +172,12 @@ def main() -> None:
     config = (
         CompilerConfig.baseline() if args.baseline else CompilerConfig.optimized()
     )
-    compiler = QCCDCompiler(
-        machine, config, use_future_index=not args.no_index
-    )
+    compiler = QCCDCompiler(machine, config)
     jobs = [
         (circuit, greedy_initial_mapping(circuit, machine))
         for circuit in circuits
     ]
-    use_vector = not args.no_vector
+    use_vector = vector_kernel_enabled()
 
     profile = cProfile.Profile()
     if args.phase == "compile":
@@ -201,7 +197,7 @@ def main() -> None:
             for circuit, chains in jobs
         ]
         if args.phase == "optimize":
-            manager = PassManager(use_vector_kernel=use_vector)
+            manager = PassManager()
             profile.enable()
             for result, _chains in compiled:
                 for _ in range(args.repeat):
@@ -220,7 +216,7 @@ def main() -> None:
                 for result, _chains in compiled
             ]
             if args.phase == "simulate":
-                simulator = Simulator(machine, use_vector_kernel=use_vector)
+                simulator = Simulator(machine)
                 profile.enable()
                 for schedule, chains in optimized:
                     for _ in range(args.repeat):
@@ -230,12 +226,7 @@ def main() -> None:
                 profile.enable()
                 for schedule, chains in optimized:
                     for _ in range(args.repeat):
-                        verify_schedule(
-                            machine,
-                            schedule,
-                            chains,
-                            use_vector_kernel=use_vector,
-                        )
+                        verify_schedule(machine, schedule, chains)
                 profile.disable()
 
     label = ", ".join(c.name for c in circuits[:5])
@@ -247,7 +238,7 @@ def main() -> None:
             "config": config.name,
             "machine": machine.name,
             "phase": args.phase,
-            "use_vector_kernel": use_vector,
+            "vector_kernel": use_vector,
             "circuits": [c.name for c in circuits],
             "repeat": args.repeat,
             "sort": args.sort,

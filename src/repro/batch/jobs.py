@@ -21,7 +21,7 @@ from ..arch.machine import QCCDMachine
 from ..circuits.circuit import Circuit
 from ..compiler.config import CompilerConfig
 from ..compiler.mapping import greedy_initial_mapping
-from ..sim.params import DEFAULT_PARAMS, MachineParams
+from ..core.params import DEFAULT_PARAMS, MachineParams
 from .fingerprint import FINGERPRINT_VERSION, fingerprint
 
 

@@ -35,9 +35,9 @@ from contextlib import nullcontext
 from ..arch.machine import QCCDMachine
 from ..circuits.circuit import Circuit
 from ..circuits.dag import DependencyDAG
+from ..core.ops import GateOp, ShuttleReason
+from ..core.params import DEFAULT_PARAMS, MachineParams
 from ..obs import active as _obs_active
-from ..sim.ops import GateOp, ShuttleReason
-from ..sim.params import DEFAULT_PARAMS, MachineParams
 from ..sim.schedule import Schedule
 from .config import CompilerConfig
 from .future_index import FutureGateIndex
@@ -59,25 +59,20 @@ class QCCDCompiler:
     config:
         Heuristic configuration; defaults to the paper's optimized
         compiler.  Use :meth:`CompilerConfig.baseline` for [7].
-    use_future_index:
-        When True (the default), direction decisions, eviction scoring
-        and re-order candidate search run against the per-ion
-        :class:`~repro.compiler.future_index.FutureGateIndex` —
-        O(window) per decision.  False selects the reference
-        implementation that re-scans the pending tail per decision;
-        both produce bit-identical schedules (the property suite in
-        ``tests/test_future_index.py`` holds them to that).
+
+    Direction decisions, eviction scoring and re-order candidate search
+    run against the per-ion
+    :class:`~repro.compiler.future_index.FutureGateIndex`: O(window)
+    per decision instead of a rescan of the pending tail.
     """
 
     def __init__(
         self,
         machine: QCCDMachine,
         config: CompilerConfig | None = None,
-        use_future_index: bool = True,
     ) -> None:
         self.machine = machine
         self.config = config if config is not None else CompilerConfig.optimized()
-        self.use_future_index = use_future_index
         self._policy = make_policy(
             self.config.shuttle_policy,
             self.config.proximity,
@@ -88,7 +83,7 @@ class QCCDCompiler:
         )
         #: The last compile's index (introspection: tests and
         #: profiling read its memo/scan counters).  None before the
-        #: first compile or when ``use_future_index`` is off.
+        #: first compile.
         self._last_future_index: FutureGateIndex | None = None
 
     def _score_margin(self, gate, state, upcoming, active_layer) -> int:
@@ -101,9 +96,9 @@ class QCCDCompiler:
         for the baseline policy (which has no scores), effectively
         leaving the decision to the ``cheap_evict`` flag alone.
 
-        With the future-gate index, this rides the same per-(gate,
-        mapping-epoch) memo as ``favoured`` and ``decide``: the margin
-        check costs a dict lookup, not a rescan.
+        This rides the same per-(gate, mapping-epoch) memo as
+        ``favoured`` and ``decide``: the margin check costs a dict
+        lookup, not a rescan.
         """
         if not hasattr(self._policy, "move_scores"):
             return 0
@@ -187,33 +182,21 @@ class QCCDCompiler:
         schedule = Schedule()
 
         pending: list[int] = dag.topological_order()
-        executed: set[int] = set()
         gate_order: list[int] = []
         reorder_attempts: dict[int, int] = defaultdict(int)
         num_reorders = 0
         pos = 0
 
-        future: FutureGateIndex | None = None
-        if self.use_future_index:
-            future = FutureGateIndex(dag, pending, circuit.num_qubits)
+        future = FutureGateIndex(dag, pending, circuit.num_qubits)
         self._last_future_index = future
         if obs is not None:
             obs.spans.add("setup", time.perf_counter() - start_time)
-
-        def upcoming_from(start: int):
-            """Yield (gate, layer) pairs for the pending tail (the
-            reference scan, used when the index is disabled)."""
-            for later in range(start, len(pending)):
-                index_later = pending[later]
-                yield dag.gate(index_later), dag.layer_of(index_later)
 
         def decision_window():
             """The upcoming-gate view for decisions about the active
             gate: the tail after ``pos``.  The active gate is two-qubit
             here, hence the ``+ 1`` on the executed two-qubit count."""
-            if future is not None:
-                return future.view(pos + 1, future.executed_2q + 1)
-            return upcoming_from(pos + 1)
+            return future.view(pos + 1, future.executed_2q + 1)
 
         router = Router(
             state,
@@ -237,10 +220,8 @@ class QCCDCompiler:
                     schedule.append(
                         GateOp(gate=gate, trap=state.trap_of(gate.qubits[0]))
                     )
-                    executed.add(index)
                     gate_order.append(index)
-                    if future is not None:
-                        future.mark_executed(index, False)
+                    future.mark_executed(index, False)
                     pos += 1
                     continue
 
@@ -249,16 +230,13 @@ class QCCDCompiler:
                     schedule.append(
                         GateOp(gate=gate, trap=state.trap_of(ion_a))
                     )
-                    executed.add(index)
                     gate_order.append(index)
-                    if future is not None:
-                        future.mark_executed(index, True)
+                    future.mark_executed(index, True)
                     pos += 1
                     continue
 
                 pinned = frozenset((ion_a, ion_b))
-                if future is not None:
-                    future.num_decision_points += 1
+                future.num_decision_points += 1
                 if obs is not None:
                     t_decide = perf()
                 favoured = self._policy.favoured(
@@ -286,7 +264,6 @@ class QCCDCompiler:
                         candidate_pos = find_reorder_candidate(
                             pending,
                             pos,
-                            executed,
                             dag,
                             state,
                             decide=lambda g, upcoming, layer: (
@@ -313,8 +290,7 @@ class QCCDCompiler:
                                     active_pos=pos,
                                     candidate_pos=candidate_pos,
                                 )
-                            if future is not None:
-                                future.splice(pos, candidate_pos)
+                            future.splice(pos, candidate_pos)
                             candidate = pending.pop(candidate_pos)
                             pending.insert(pos, candidate)
                             reorder_attempts[index] += 1
@@ -371,10 +347,8 @@ class QCCDCompiler:
                     decision.ion, decision.dst, ShuttleReason.GATE, pinned
                 )
                 schedule.append(GateOp(gate=gate, trap=decision.dst))
-                executed.add(index)
                 gate_order.append(index)
-                if future is not None:
-                    future.mark_executed(index, True)
+                future.mark_executed(index, True)
                 pos += 1
 
         pass_stats: tuple = ()
@@ -415,17 +389,11 @@ class QCCDCompiler:
             metrics.inc("compile.reorders", num_reorders)
             metrics.inc("compile.rebalances", router.num_rebalances)
             metrics.inc("compile.mapping_epochs", state.epoch)
-            if future is not None:
-                metrics.inc(
-                    "compile.index.decision_points",
-                    future.num_decision_points,
-                )
-                metrics.inc(
-                    "compile.index.score_passes", future.num_score_passes
-                )
-                metrics.inc(
-                    "compile.index.memo_hits", future.num_memo_hits
-                )
+            metrics.inc(
+                "compile.index.decision_points", future.num_decision_points
+            )
+            metrics.inc("compile.index.score_passes", future.num_score_passes)
+            metrics.inc("compile.index.memo_hits", future.num_memo_hits)
             metrics.observe("phase.compile_seconds", compile_time)
         return CompilationResult(
             circuit_name=circuit.name,

@@ -66,10 +66,14 @@ class FutureView:
         scores a hoist candidate against a future that omits the
         candidate itself.
 
-    Policies and the re-balancer accept a view anywhere a plain
-    ``(gate, layer)`` iterable is accepted; the isinstance dispatch
-    picks the indexed scan.  Views are cheap throwaway objects: all
-    mutable state (cursors, memo, counters) lives on the index.
+    The compiler hands every decision a view — direction scoring,
+    evictions and Algorithm-1 candidates all run on the index.
+    Policies and the re-balancer also accept a plain ``(gate, layer)``
+    iterable, for streams that are not layer-monotone (which the index
+    rejects) and for direct callers such as the paper-example tests;
+    the isinstance dispatch picks the indexed scan for a view.  Views
+    are cheap throwaway objects: all mutable state (cursors, memo,
+    counters) lives on the index.
     """
 
     __slots__ = ("index", "start", "rank_start", "exclude")
@@ -89,10 +93,9 @@ class FutureView:
     def __iter__(self):
         """Yield the ``(gate, layer)`` stream this view stands for.
 
-        The compatibility path for consumers that still want to walk
-        the full tail (none in the compiler proper — this keeps views
-        drop-in for external callers of the policy API and is the
-        reference the property tests compare against).
+        Lets a view stand in wherever a plain ``(gate, layer)``
+        iterable is accepted (none in the compiler proper walks it;
+        the property tests compare it against their frozen stream).
         """
         index = self.index
         dag = index.dag
@@ -225,7 +228,7 @@ class FutureGateIndex:
 
     def pending_order(self, start: int):
         """Unexecuted DAG nodes at pending positions ``>= start`` in
-        order (compatibility iteration for :meth:`FutureView.__iter__`)."""
+        order (the walk behind :meth:`FutureView.__iter__`)."""
         pending = self._pending
         for position in range(start, len(pending)):
             yield pending[position]

@@ -21,12 +21,11 @@ from .state import CompilerState
 def find_reorder_candidate(
     pending: Sequence[int],
     active_pos: int,
-    executed: set[int],
     dag: DependencyDAG,
     state: CompilerState,
     decide: Callable[[Gate, Iterable[Gate]], "object"],
     old_destination: int,
-    future: FutureGateIndex | None = None,
+    future: FutureGateIndex,
 ) -> int | None:
     """Return the pending-list position of a hoistable gate, or None.
 
@@ -40,63 +39,19 @@ def find_reorder_candidate(
       ``old_destination``, the trap that is currently full.
 
     ``decide`` is a closure over the compiler's policy; it receives the
-    candidate gate, the upcoming ``(gate, layer)`` iterable, and the
+    candidate gate, the upcoming ``(gate, layer)`` view, and the
     candidate's layer, and returns an object with ``src``/``dst``
     attributes (a ShuttleDecision).
 
-    With a :class:`~repro.compiler.future_index.FutureGateIndex`,
-    candidates are enumerated from the full trap's own ions' gate lists
-    (a qualifying gate must move an ion *out of* ``old_destination``,
-    so one of its qubits sits there now) instead of scanning the whole
-    pending tail, and each candidate's direction decision scores
-    against an indexed view — same candidates, same order, same result.
-    """
-    if future is not None:
-        return _find_candidate_indexed(
-            pending, active_pos, dag, state, decide, old_destination, future
-        )
-    active_index = pending[active_pos]
-    active_layer = dag.layer_of(active_index)
-    for pos in range(active_pos + 1, len(pending)):
-        index = pending[pos]
-        if dag.layer_of(index) > active_layer:
-            continue
-        gate = dag.gate(index)
-        if not gate.is_two_qubit:
-            continue
-        if any(pred not in executed for pred in dag.predecessors(index)):
-            continue
-        ion_a, ion_b = gate.qubits
-        trap_a = state.trap_of(ion_a)
-        trap_b = state.trap_of(ion_b)
-        if trap_a == trap_b:
-            continue  # executes without a shuttle; frees no slot
-        if old_destination not in (trap_a, trap_b):
-            continue  # cannot possibly depart from the full trap
-        upcoming = _candidate_upcoming(pending, active_pos, pos, dag)
-        decision = decide(gate, upcoming, dag.layer_of(index))
-        if decision.src == old_destination:
-            return pos
-    return None
-
-
-def _find_candidate_indexed(
-    pending: Sequence[int],
-    active_pos: int,
-    dag: DependencyDAG,
-    state: CompilerState,
-    decide: Callable[[Gate, Iterable[Gate]], "object"],
-    old_destination: int,
-    future: FutureGateIndex,
-) -> int | None:
-    """Algorithm 1 over the future-gate index.
-
     Only gates with a qubit whose ion currently sits in the full trap
     can have ``old_destination`` among their traps, so the candidate
-    set is the union of that chain's per-ion gate lists, cut at the
-    active layer (per-ion lists inherit the pending tail's monotone
-    layers, so the cut is a prefix).  Candidates are then visited in
-    pending order — exactly the order the tail scan visits them.
+    set is the union of that chain's per-ion gate lists in ``future``,
+    cut at the active layer (per-ion lists inherit the pending tail's
+    monotone layers, so the cut is a prefix).  Candidates are then
+    visited in pending order, and each one's direction decision scores
+    against a :class:`~repro.compiler.future_index.FutureView` that
+    starts at the active position and omits the candidate: after
+    hoisting, it executes first and everything else follows.
     """
     active_layer = future.node_layer[pending[active_pos]]
     node_layer = future.node_layer
@@ -122,29 +77,8 @@ def _find_candidate_indexed(
         trap_b = state.trap_of(ion_b)
         if trap_a == trap_b:
             continue  # executes without a shuttle; frees no slot
-        # The candidate's future starts at the active position (it will
-        # execute first, everything else follows) and omits itself.
         view = future.view(active_pos, rank_start, exclude=node)
         decision = decide(gate, view, node_layer[node])
         if decision.src == old_destination:
             return order_key[node]
     return None
-
-
-def _candidate_upcoming(
-    pending: Sequence[int],
-    active_pos: int,
-    candidate_pos: int,
-    dag: DependencyDAG,
-):
-    """Upcoming (gate, layer) pairs as seen by a hoisted candidate.
-
-    After hoisting, the candidate executes first and everything from the
-    active position onward (minus the candidate itself) follows, so that
-    is the future the candidate's direction decision should look at.
-    """
-    for pos in range(active_pos, len(pending)):
-        if pos == candidate_pos:
-            continue
-        index = pending[pos]
-        yield dag.gate(index), dag.layer_of(index)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ..core.ops import ShuttleReason
 from ..passes.manager import PassStats
-from ..sim.ops import ShuttleReason
 from ..sim.schedule import Schedule
 
 

@@ -14,8 +14,8 @@ from collections.abc import Callable, Iterable
 from time import perf_counter
 
 from ..circuits.gate import Gate
+from ..core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
 from ..obs import active as _obs_active
-from ..sim.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
 from ..sim.schedule import Schedule
 from .config import CompilerConfig
 from .rebalance import max_score_with_value, select_eviction
@@ -42,8 +42,8 @@ class Router:
         gates (needed by max-score ion selection); the compiler binds
         it to its current program position.  The compiler supplies
         :class:`~repro.compiler.future_index.FutureView` windows so
-        eviction scoring walks per-ion indexes; a plain gate iterable
-        is accepted for the reference scan.
+        eviction scoring walks per-ion indexes; a plain ``(gate,
+        layer)`` iterable is also accepted (direct callers, tests).
     """
 
     def __init__(

@@ -214,7 +214,6 @@ class CheckpointedReplay:
         initial_chains: dict[int, list[int]],
         observers: tuple = (),
         interval: int | None = None,
-        use_vector_kernel: bool | None = None,
     ) -> None:
         self.machine = machine
         self.initial_chains = {
@@ -251,7 +250,7 @@ class CheckpointedReplay:
             (state.checkpoint(), self._observer_snapshots())
         ]
         use_vector = False
-        if vector_kernel_enabled(use_vector_kernel) and supports_observers(
+        if vector_kernel_enabled() and supports_observers(
             self.observers
         ):
             # Compile via the source object when it carries the

@@ -68,18 +68,14 @@ _ENV_FLAG = "REPRO_VECTOR_KERNEL"
 _FALSE_WORDS = frozenset({"0", "false", "off", "no"})
 
 
-def vector_kernel_enabled(flag: bool | None = None) -> bool:
-    """Resolve a ``use_vector_kernel`` switch.
-
-    ``None`` (the default everywhere) means "on unless the
-    ``REPRO_VECTOR_KERNEL`` environment variable disables it"; an
-    explicit boolean wins.  Always ``False`` when numpy is missing.
-    """
-    if not HAVE_NUMPY:
-        return False
-    if flag is None:
-        return os.environ.get(_ENV_FLAG, "1").lower() not in _FALSE_WORDS
-    return bool(flag)
+def vector_kernel_enabled() -> bool:
+    """True when replays should take the batched kernel: numpy is
+    importable and the ``REPRO_VECTOR_KERNEL`` environment variable
+    does not disable it.  Read on every call, so a consumer follows
+    the variable without being rebuilt."""
+    return HAVE_NUMPY and (
+        os.environ.get(_ENV_FLAG, "1").lower() not in _FALSE_WORDS
+    )
 
 
 def _fits(value) -> bool:

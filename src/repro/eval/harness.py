@@ -29,7 +29,7 @@ from ..compiler.compiler import QCCDCompiler
 from ..compiler.config import CompilerConfig
 from ..compiler.mapping import greedy_initial_mapping
 from ..compiler.result import CompilationResult
-from ..sim.params import DEFAULT_PARAMS, MachineParams
+from ..core.params import DEFAULT_PARAMS, MachineParams
 from ..sim.simulator import SimulationReport, Simulator
 from .metrics import improvement_factor, reduction_percent
 

@@ -39,9 +39,9 @@ from ..arch.machine import QCCDMachine
 from ..core.observers import OccupancyTraceObserver
 from ..core.observers import estimate_makespan as _kernel_makespan
 from ..core.observers import occupancy_at as _kernel_occupancy_at
+from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..core.params import TimingParams
 from ..core.replay import CheckpointedReplay
-from ..sim.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
-from ..sim.params import TimingParams
 from ..sim.schedule import Schedule
 
 

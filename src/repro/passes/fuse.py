@@ -39,8 +39,8 @@ from .base import (
     gate_indices_by_ion,
     has_gate_on_ion_between,
 )
+from ..core.ops import MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
 from ..core.replay import CheckpointedReplay
-from ..sim.ops import MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
 from ..sim.schedule import Schedule
 
 #: Safety cap on fusion sweeps (each sweep must accept at least one

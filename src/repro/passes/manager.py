@@ -43,8 +43,8 @@ from ..arch.machine import QCCDMachine
 from ..obs import active as _obs_active
 from ..core.errors import MachineModelError
 from ..core.observers import HeatingObserver
+from ..core.params import DEFAULT_PARAMS, MachineParams
 from ..core.replay import CheckpointedReplay
-from ..sim.params import DEFAULT_PARAMS, MachineParams
 from ..sim.schedule import Schedule
 from .base import PassContext, SchedulePass
 from .registry import make_passes
@@ -171,14 +171,10 @@ class PassManager:
         passes: object = None,
         fidelity_guard: bool = True,
         params: MachineParams = DEFAULT_PARAMS,
-        use_vector_kernel: bool | None = None,
     ) -> None:
         self.passes: list[SchedulePass] = make_passes(passes)
         self.fidelity_guard = fidelity_guard
         self.params = params
-        #: Build the incremental engine's construction replay on the
-        #: batched numpy kernel (None = on when numpy is available).
-        self.use_vector_kernel = use_vector_kernel
 
     def run(
         self,
@@ -223,7 +219,6 @@ class PassManager:
                 schedule,  # cache-bearing: shares one compiled stream
                 initial_chains,
                 observers,
-                use_vector_kernel=self.use_vector_kernel,
             )
         except MachineModelError as exc:
             raise VerificationError(str(exc)) from None
@@ -353,9 +348,8 @@ def optimize_schedule(
     passes: object = None,
     fidelity_guard: bool = True,
     params: MachineParams = DEFAULT_PARAMS,
-    use_vector_kernel: bool | None = None,
 ) -> OptimizationResult:
     """One-shot convenience wrapper around :class:`PassManager`."""
-    return PassManager(
-        passes, fidelity_guard, params, use_vector_kernel
-    ).run(schedule, machine, initial_chains)
+    return PassManager(passes, fidelity_guard, params).run(
+        schedule, machine, initial_chains
+    )

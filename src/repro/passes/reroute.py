@@ -30,8 +30,8 @@ from .base import (
     occupancy_at,
     occupancy_timeline,
 )
+from ..core.ops import MoveOp
 from ..core.replay import CheckpointedReplay
-from ..sim.ops import MoveOp
 from ..sim.schedule import Schedule
 
 #: Cap on enumerated equal-length paths per journey (grids explode

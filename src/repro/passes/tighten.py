@@ -49,7 +49,7 @@ from .verify import VerificationError
 from ..circuits.circuit import Circuit
 from ..circuits.dag import DependencyDAG
 from ..core.observers import ClockObserver
-from ..sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from ..sim.schedule import Schedule
 
 

@@ -24,9 +24,9 @@ from collections import Counter
 
 from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
+from ..core.ops import GateOp
 from ..core.replay import is_applicable, replay
 from ..core.vector import batched_replay, vector_kernel_enabled
-from ..sim.ops import GateOp
 from ..sim.schedule import Schedule
 
 
@@ -38,7 +38,6 @@ def verify_schedule(
     machine: QCCDMachine,
     schedule: Schedule,
     initial_chains: dict[int, list[int]],
-    use_vector_kernel: bool | None = None,
 ) -> dict[int, list[int]]:
     """Replay ``schedule`` against the machine model; raise on the first
     illegal op.  Returns the final per-trap chains of the replay.
@@ -55,7 +54,7 @@ def verify_schedule(
     * no ion is left in transit at the end.
     """
     try:
-        if vector_kernel_enabled(use_vector_kernel):
+        if vector_kernel_enabled():
             state = batched_replay(machine, schedule, initial_chains)
         else:
             state = replay(machine, schedule, initial_chains)
@@ -68,10 +67,9 @@ def is_legal(
     machine: QCCDMachine,
     schedule: Schedule,
     initial_chains: dict[int, list[int]],
-    use_vector_kernel: bool | None = None,
 ) -> bool:
     """Boolean form of :func:`verify_schedule` (the pass accept oracle)."""
-    if vector_kernel_enabled(use_vector_kernel):
+    if vector_kernel_enabled():
         try:
             batched_replay(machine, schedule, initial_chains)
         except MachineModelError:

@@ -1,6 +1,6 @@
 """Machine-level ops, schedules, and the QCCD heating/fidelity simulator."""
 
-from .ops import (
+from ..core.ops import (
     GateOp,
     MachineOp,
     MergeOp,
@@ -9,7 +9,7 @@ from .ops import (
     SplitOp,
     SwapOp,
 )
-from .params import DEFAULT_PARAMS, MachineParams, NoiseParams, TimingParams
+from ..core.params import DEFAULT_PARAMS, MachineParams, NoiseParams, TimingParams
 from .schedule import Schedule
 from .simulator import SimulationError, SimulationReport, Simulator
 

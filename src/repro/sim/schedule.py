@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator
 
-from .ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
 
 #: Exact-class -> kind discriminator (fallback: the op's own property).
 _KIND_OF = {

@@ -9,7 +9,7 @@ observers:
 * per-trap ion chains (occupancy limits enforced op by op by
   :class:`~repro.core.state.MachineState`),
 * per-chain motional mode ``n̄`` under the additive heating model of
-  :class:`~repro.sim.params.NoiseParams` (Fig. 3's qualitative behaviour:
+  :class:`~repro.core.params.NoiseParams` (Fig. 3's qualitative behaviour:
   splits heat the source chain, moves heat the ion in transit, merges
   deposit that transit energy plus a fixed overhead into the destination
   chain — total system heat is the sum of per-op contributions) —
@@ -36,15 +36,12 @@ from dataclasses import dataclass, field
 
 from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
-from ..core.observers import FIDELITY_FLOOR, ClockObserver, HeatingObserver
+from ..core.observers import ClockObserver, HeatingObserver
+from ..core.params import DEFAULT_PARAMS, MachineParams
 from ..core.replay import replay_into
 from ..core.state import MachineState
 from ..core.vector import batched_replay, vector_kernel_enabled
-from .params import DEFAULT_PARAMS, MachineParams
 from .schedule import Schedule
-
-#: Backwards-compatible alias (the floor moved to the kernel observers).
-_FIDELITY_FLOOR = FIDELITY_FLOOR
 
 
 class SimulationError(MachineModelError):
@@ -90,14 +87,9 @@ class Simulator:
         self,
         machine: QCCDMachine,
         params: MachineParams = DEFAULT_PARAMS,
-        use_vector_kernel: bool | None = None,
     ) -> None:
         self.machine = machine
         self.params = params
-        #: Replay through the batched numpy kernel (default: on when
-        #: numpy is importable; see repro.core.vector).  Results are
-        #: bit-identical either way — the golden suite pins this.
-        self.use_vector_kernel = vector_kernel_enabled(use_vector_kernel)
 
     def run(
         self,
@@ -112,7 +104,10 @@ class Simulator:
         clock = ClockObserver(self.machine.num_traps, self.params.timing)
         heat = HeatingObserver(self.machine.num_traps, self.params)
         try:
-            if self.use_vector_kernel:
+            # The batched numpy kernel when numpy is importable and
+            # REPRO_VECTOR_KERNEL is not 0 (see repro.core.vector);
+            # results are bit-identical either way.
+            if vector_kernel_enabled():
                 batched_replay(
                     self.machine, schedule, initial_chains, (clock, heat)
                 )
@@ -138,69 +133,3 @@ class Simulator:
             gate_fidelities=heat.gate_fidelities,
         )
 
-
-@dataclass
-class _Transit:
-    """An ion between split and merge: current trap and carried quanta.
-
-    Retained for callers that hand-replay op streams against
-    :class:`_SimState`; the simulator itself now tracks transit inside
-    the kernel (:class:`~repro.core.state.MachineState`)."""
-
-    trap: int
-    energy: float
-
-
-class _TrapRuntime:
-    """Mutable chain state for one trap (compatibility container).
-
-    The simulator no longer uses this internally — the kernel holds
-    the live state — but external replay harnesses (and older tests)
-    still build these via :class:`_SimState`."""
-
-    def __init__(self, trap_id: int, capacity: int, chain: list[int]) -> None:
-        self.trap_id = trap_id
-        self.capacity = capacity
-        self.chain = list(chain)
-        self.chain_set = set(chain)
-        self.nbar = 0.0
-        self.clock = 0.0
-
-    @property
-    def excess_capacity(self) -> int:
-        return self.capacity - len(self.chain)
-
-    def add(self, ion: int, position: int | None = None) -> None:
-        if position is None:
-            self.chain.append(ion)
-        else:
-            self.chain.insert(position, ion)
-        self.chain_set.add(ion)
-
-    def remove(self, ion: int) -> None:
-        self.chain.remove(ion)
-        self.chain_set.discard(ion)
-
-
-class _SimState:
-    """Full machine state snapshot (compatibility container).
-
-    Initial-chain validation delegates to the kernel; the mutable
-    per-trap containers remain for hand-rolled replays."""
-
-    def __init__(
-        self, machine: QCCDMachine, initial_chains: dict[int, list[int]]
-    ) -> None:
-        try:
-            MachineState(machine, initial_chains)
-        except MachineModelError as exc:
-            raise SimulationError(str(exc)) from None
-        self.traps: list[_TrapRuntime] = [
-            _TrapRuntime(
-                spec.trap_id,
-                spec.capacity,
-                list(initial_chains.get(spec.trap_id, [])),
-            )
-            for spec in machine.traps
-        ]
-        self.transit: dict[int, _Transit] = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from difflib import SequenceMatcher
 
-from ..sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from ..sim.schedule import Schedule
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 
 
 def op_token(op) -> str:

@@ -31,8 +31,8 @@ from repro.bench import random_circuit
 from repro.bench.suite import paper_suite
 from repro.circuits.circuit import Circuit
 from repro.compiler.config import CompilerConfig
+from repro.core.params import DEFAULT_PARAMS
 from repro.eval.harness import compare, run_suite
-from repro.sim.params import DEFAULT_PARAMS
 
 
 def tiny_machine():

@@ -6,9 +6,9 @@ from repro.arch import linear_topology, uniform_machine
 from repro.circuits.circuit import Circuit
 from repro.compiler import CompilerConfig, compile_circuit
 from repro.compiler.state import CompilationError, CompilerState
+from repro.core import MachineState, replay_into
+from repro.core.ops import GateOp, MergeOp, MoveOp, SwapOp
 from repro.sim import Schedule, SimulationError, Simulator
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
-from repro.sim.simulator import _SimState  # noqa: internal, for replay
 
 
 def machine(traps=3, capacity=5, comm=1):
@@ -109,25 +109,11 @@ class TestSwapEmission:
             circuit.add("ms", a, b)
         m = machine(traps=3)
         result = compile_circuit(circuit, m, ordered_config())
-        # Replay in the simulator and compare exact chain ORDER.
-        sim_state = _SimState(m, result.initial_chains)
-        for op in result.schedule:
-            if isinstance(op, SplitOp):
-                sim_state.traps[op.trap].remove(op.ion)
-                from repro.sim.simulator import _Transit
-
-                sim_state.transit[op.ion] = _Transit(op.trap, 0.0)
-            elif isinstance(op, MoveOp):
-                sim_state.transit[op.ion].trap = op.dst
-            elif isinstance(op, MergeOp):
-                del sim_state.transit[op.ion]
-                sim_state.traps[op.trap].add(op.ion, position=op.position)
-            elif isinstance(op, SwapOp):
-                chain = sim_state.traps[op.trap].chain
-                ia, ib = chain.index(op.ion_a), chain.index(op.ion_b)
-                chain[ia], chain[ib] = chain[ib], chain[ia]
-        for trap_id, chain in result.final_chains.items():
-            assert sim_state.traps[trap_id].chain == chain
+        # Replay through the machine kernel and compare exact chain ORDER.
+        state = replay_into(
+            MachineState(m, result.initial_chains), result.schedule
+        )
+        assert state.chains_dict() == result.final_chains
 
 
 class TestSimulatorSwapValidation:

@@ -13,7 +13,7 @@ from repro.compiler import (
     compile_and_simulate,
     compile_circuit,
 )
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp
 from repro.sim.simulator import Simulator
 
 

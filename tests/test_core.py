@@ -17,8 +17,8 @@ from repro.core import (
     occupancy_at,
     replay,
 )
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from repro.sim import MachineParams, Schedule, Simulator, TimingParams
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 
 
 def machine(traps=3, capacity=4, comm=1):

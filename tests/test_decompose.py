@@ -4,6 +4,10 @@ import math
 
 import pytest
 
+# repro.circuits.matrices is a numpy-only test oracle (no src module
+# imports it); numpy itself is an optional extra.
+pytest.importorskip("numpy")
+
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import (
     NATIVE_GATES,

@@ -18,8 +18,8 @@ import pytest
 from repro.arch import grid_machine, linear_machine, ring_machine
 from repro.circuits.circuit import Circuit
 from repro.compiler import CompilerConfig, compile_circuit
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from repro.sim import Schedule, SimulationError, Simulator
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from repro.passes.verify import VerificationError, verify_schedule
 
 MACHINES = {

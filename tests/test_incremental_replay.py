@@ -35,7 +35,7 @@ from repro.core import (
     replay,
 )
 from repro.core.errors import MachineModelError
-from repro.sim.params import DEFAULT_PARAMS
+from repro.core.params import DEFAULT_PARAMS
 from repro.passes.base import extract_excursions, rebuild
 
 MACHINES = {

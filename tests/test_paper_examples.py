@@ -19,7 +19,7 @@ from repro.circuits.gate import Gate
 from repro.compiler import CompilerConfig, compile_circuit
 from repro.compiler.rebalance import select_destination_trap
 from repro.compiler.state import CompilerState
-from repro.sim.ops import MoveOp
+from repro.core.ops import MoveOp
 
 
 class TestFig4:

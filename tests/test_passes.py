@@ -11,6 +11,7 @@ from repro.arch import (
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.compiler import CompilerConfig, compile_circuit
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from repro.eval.exact import optimal_shuttle_count
 from repro.passes import (
     DEFAULT_PIPELINE,
@@ -34,7 +35,6 @@ from repro.passes import (
     verify_equivalent,
     verify_schedule,
 )
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from repro.sim.schedule import Schedule
 from repro.sim.simulator import Simulator
 

@@ -6,6 +6,7 @@ from repro.circuits.dag import DependencyDAG
 from repro.circuits.gate import Gate
 from repro.compiler.config import CompilerConfig
 from repro.compiler.compiler import QCCDCompiler
+from repro.compiler.future_index import FutureGateIndex
 from repro.compiler.policies import FutureOpsPolicy
 from repro.compiler.reorder import find_reorder_candidate
 from repro.compiler.state import CompilerState
@@ -55,33 +56,66 @@ class TestFindCandidate:
         position = find_reorder_candidate(
             pending,
             active_pos=0,
-            executed=set(),
             dag=dag,
             state=state,
             decide=decide,
             old_destination=1,
+            future=FutureGateIndex(dag, pending, circuit.num_qubits),
         )
         assert position is not None
         assert dag.gate(pending[position]) == Gate("ms", (4, 0))  # gB
 
-    def test_no_candidate_when_nothing_leaves_the_trap(self):
-        circuit = Circuit(4, [Gate("ms", (0, 2)), Gate("ms", (1, 3))])
-        dag = DependencyDAG(circuit)
-        machine = heterogeneous_machine(
-            linear_topology(2), capacities=[4, 4], comm_capacities=[1, 1]
+    def test_candidate_found_once_its_predecessor_executed(self):
+        """Fig. 6 behind an executed prefix: gB only becomes hoistable
+        once the gate it depends on is marked executed."""
+        circuit = Circuit(
+            7,
+            [Gate("ms", (3, 5)), Gate("ms", (0, 1)), *fig6_circuit()],
         )
-        state = CompilerState(machine, {0: [0, 1], 1: [2, 3]})
-        policy = FutureOpsPolicy(proximity=6, capacity_guard=0)
+        dag = DependencyDAG(circuit)
+        state = CompilerState(fig6_machine(), fig6_chains())
+        policy = FutureOpsPolicy(
+            proximity=6, proximity_metric="gates", capacity_guard=0
+        )
         pending = dag.topological_order()
+        assert pending[:4] == [0, 1, 2, 3]  # prefix, gA, gB
+        future = FutureGateIndex(dag, pending, circuit.num_qubits)
 
         def decide(gate, upcoming, layer):
             return policy.decide(gate, state, upcoming, layer)
 
-        # Gate (1,3): both directions exist but neither candidate's
-        # source is trap 0 when we ask about old_destination=0 with the
-        # other gate having no reason to leave.
+        def candidate():
+            return find_reorder_candidate(
+                pending, 2, dag, state, decide, 1, future
+            )
+
+        future.mark_executed(pending[0], True)
+        assert candidate() is None  # gB still waits on gate (0, 1)
+        future.mark_executed(pending[1], True)
+        assert candidate() == 3
+
+    def test_no_candidate_when_nothing_leaves_the_trap(self):
+        circuit = Circuit(
+            5, [Gate("ms", (0, 2)), Gate("ms", (1, 3)), Gate("x", (4,))]
+        )
+        dag = DependencyDAG(circuit)
+        machine = heterogeneous_machine(
+            linear_topology(3),
+            capacities=[4, 4, 4],
+            comm_capacities=[1, 1, 1],
+        )
+        state = CompilerState(machine, {0: [0, 1], 1: [2, 3], 2: [4]})
+        policy = FutureOpsPolicy(proximity=6, capacity_guard=0)
+        pending = dag.topological_order()
+        future = FutureGateIndex(dag, pending, circuit.num_qubits)
+
+        def decide(gate, upcoming, layer):
+            return policy.decide(gate, state, upcoming, layer)
+
+        # Gate (1,3) could be hoisted, but neither of its ions sits in
+        # trap 2, so it cannot free a slot there.
         position = find_reorder_candidate(
-            pending, 0, set(), dag, state, decide, old_destination=99
+            pending, 0, dag, state, decide, 2, future
         )
         assert position is None
 
@@ -95,13 +129,14 @@ class TestFindCandidate:
         state = CompilerState(machine, {0: [0, 1], 1: [2, 3]})
         policy = FutureOpsPolicy(proximity=6, capacity_guard=0)
         pending = dag.topological_order()
+        future = FutureGateIndex(dag, pending, circuit.num_qubits)
 
         def decide(gate, upcoming, layer):
             return policy.decide(gate, state, upcoming, layer)
 
         assert (
             find_reorder_candidate(
-                pending, 0, set(), dag, state, decide, old_destination=1
+                pending, 0, dag, state, decide, 1, future
             )
             is None
         )

@@ -13,7 +13,7 @@ from repro.bench.suite import (
 )
 from repro.circuits.circuit import Circuit
 from repro.compiler import CompilerConfig, compile_circuit
-from repro.sim.ops import ShuttleReason
+from repro.core.ops import ShuttleReason
 
 
 def machine():

@@ -7,7 +7,7 @@ from repro.circuits.gate import Gate
 from repro.compiler.config import CompilerConfig
 from repro.compiler.routing import Router
 from repro.compiler.state import CompilationError, CompilerState
-from repro.sim.ops import MergeOp, MoveOp, ShuttleReason, SplitOp
+from repro.core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp
 from repro.sim.schedule import Schedule
 
 

@@ -1,7 +1,7 @@
 """Schedule container tests."""
 
 from repro.circuits.gate import Gate
-from repro.sim.ops import GateOp, MergeOp, MoveOp, ShuttleReason, SplitOp
+from repro.core.ops import GateOp, MergeOp, MoveOp, ShuttleReason, SplitOp
 from repro.sim.schedule import Schedule
 
 

@@ -38,13 +38,13 @@ from repro.core import (
     batched_replay,
     replay,
 )
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp
 from repro.core.params import MachineParams
 from repro.core.vector import (
     HAVE_NUMPY,
     compile_stream,
     vector_kernel_enabled,
 )
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp
 from repro.sim.schedule import Schedule
 
 pytestmark = pytest.mark.skipif(
@@ -209,16 +209,12 @@ def test_subclassed_ops_fall_back_to_scalar():
 
 def test_env_switch(monkeypatch):
     monkeypatch.delenv("REPRO_VECTOR_KERNEL", raising=False)
-    assert vector_kernel_enabled(None) is HAVE_NUMPY
+    assert vector_kernel_enabled() is HAVE_NUMPY
     for word in ("0", "false", "off", "no"):
         monkeypatch.setenv("REPRO_VECTOR_KERNEL", word)
-        assert vector_kernel_enabled(None) is False
+        assert vector_kernel_enabled() is False
     monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
-    assert vector_kernel_enabled(None) is HAVE_NUMPY
-    # An explicit argument always wins over the environment.
-    monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
-    assert vector_kernel_enabled(True) is HAVE_NUMPY
-    assert vector_kernel_enabled(False) is False
+    assert vector_kernel_enabled() is HAVE_NUMPY
 
 
 GOLDEN_PATH = os.path.join(

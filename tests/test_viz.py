@@ -2,7 +2,7 @@
 
 from repro.arch import grid_machine, l6_machine, linear_machine
 from repro.circuits.gate import Gate
-from repro.sim.ops import GateOp, MergeOp, MoveOp, SplitOp
+from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp
 from repro.sim.schedule import Schedule
 from repro.viz import (
     gate_trap_histogram,
