@@ -124,6 +124,10 @@ class JobSpec:
         else:
             if not self.qubits:
                 raise ValueError("random specs need a qubit count")
+            if self.qubits < 2:
+                raise ValueError(
+                    f"random specs need at least 2 qubits, got {self.qubits}"
+                )
             if self.seed is None:
                 raise ValueError("random specs need a circuit seed")
             if self.family not in _RANDOM_FAMILIES:

@@ -37,22 +37,31 @@ def random_circuit(
     seed: int,
     family: str = "uniform",
 ) -> Circuit:
-    """One random circuit of exactly ``num_gates`` MS gates."""
+    """One random circuit of exactly ``num_gates`` MS gates.
+
+    Raises ``ValueError`` for fewer than two qubits: no pair exists.
+    """
+    if num_qubits < 2:
+        raise ValueError(
+            f"random circuits need at least 2 qubits, got {num_qubits}"
+        )
     rng = random.Random(seed)
     name = f"Random-{family}-{num_qubits}q-s{seed}"
     circuit = Circuit(num_qubits, name=name)
     if family == "uniform":
-        while circuit.num_two_qubit_gates < num_gates:
+        for _ in range(num_gates):
             a, b = rng.sample(range(num_qubits), 2)
             circuit.append(Gate("ms", (a, b)))
     elif family == "layered":
-        while circuit.num_two_qubit_gates < num_gates:
+        emitted = 0
+        while emitted < num_gates:
             order = list(range(num_qubits))
             rng.shuffle(order)
             for k in range(0, num_qubits - 1, 2):
-                if circuit.num_two_qubit_gates >= num_gates:
+                if emitted >= num_gates:
                     break
                 circuit.append(Gate("ms", (order[k], order[k + 1])))
+                emitted += 1
     else:
         raise ValueError(f"unknown random-circuit family {family!r}")
     return circuit

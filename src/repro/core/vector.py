@@ -33,9 +33,14 @@ reproduces the exact ``"op N: ..."`` error string.  False positives
 merely cost speed; the predicates are constructed so no illegal op
 can pass (no false negatives).
 
+The same columns are also the pickled form of a schedule: a
+:class:`CompiledStream` pickles as its columns plus a small decode
+vocabulary (gate names and params, shuttle reasons), so the worker
+pool and the result cache ship the encoding replay already built.
+
 Everything degrades gracefully without numpy: :func:`batched_replay`
-falls back to the scalar replay and :func:`vector_kernel_enabled`
-reports ``False``.
+falls back to the scalar replay, :func:`vector_kernel_enabled`
+reports ``False`` and schedules pickle as plain op objects.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 
+from ..circuits.gate import Gate
 from .errors import MachineModelError
 from .observers import FIDELITY_FLOOR, ClockObserver, HeatingObserver
 from .ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
@@ -56,8 +62,13 @@ except ImportError:  # pragma: no cover
     np = None
     HAVE_NUMPY = False
 
-#: Op-kind codes in the compiled stream.
+#: Op-kind codes in the compiled stream (order is part of the pickle
+#: format).
 K_GATE, K_MOVE, K_SPLIT, K_MERGE, K_SWAP, K_OTHER = range(6)
+
+#: Pickle-format version of :class:`CompiledStream`; unpickling
+#: rejects every other value (and a missing one).
+STREAM_FORMAT = 2
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -83,19 +94,38 @@ def _fits(value) -> bool:
     return isinstance(value, int) and _INT64_MIN <= value <= _INT64_MAX
 
 
+def _narrow(column):
+    """``column`` in the smallest signed int dtype that holds it: the
+    pickle state stores ids and codes compactly, live columns stay
+    int64."""
+    column = np.asarray(column, dtype=np.int64)
+    if column.size:
+        lo, hi = int(column.min()), int(column.max())
+        for dtype in (np.int8, np.int16, np.int32):
+            info = np.iinfo(dtype)
+            if info.min <= lo and hi <= info.max:
+                return column.astype(dtype)
+    return column
+
+
 class CompiledStream:
     """Columnar form of an op stream.
 
     ``kind`` discriminates per op; ``a``/``b``/``c`` are int64 field
     columns (gate: trap/q0/q1-or--1; move: ion/src/dst; split:
-    ion/trap/-1; merge: ion/trap/position-or--1) and ``d`` marks
-    two-qubit gates.  The ``*_l`` twins are plain Python lists — the
-    drain loop indexes them far faster than ndarray items.
-    ``needs_scalar`` is True when any op is outside the vector model
-    (swaps — chain-*order* checks — subclassed/foreign ops, ids
-    beyond int64, negative merge positions); such streams replay
-    scalar end to end.  ``ops`` keeps the original objects for the
-    scalar fallback.
+    ion/trap/-1; merge: ion/trap/position-or--1; swap:
+    ion_a/ion_b/trap) and ``d`` marks two-qubit gates.  The ``*_l``
+    twins are plain Python lists — the drain loop indexes them far
+    faster than ndarray items.  ``K_OTHER`` marks ops outside the
+    columns: subclassed/foreign ops, gates on more than two qubits,
+    ids beyond int64, negative merge positions.  ``needs_scalar`` is
+    True when any op is ``K_SWAP`` (chain-*order* checks) or
+    ``K_OTHER``; such streams replay scalar end to end.  ``ops`` keeps
+    the original objects for the scalar fallback.
+
+    Pickling keeps the columns and adds the vocabulary they lack (see
+    :meth:`__getstate__`); unpickling rebuilds ``ops`` through the
+    normal op and :class:`~repro.circuits.gate.Gate` constructors.
     """
 
     __slots__ = (
@@ -131,6 +161,114 @@ class CompiledStream:
     def __len__(self) -> int:
         return len(self.ops)
 
+    def __getstate__(self) -> dict:
+        """The columns plus the vocabulary the decoder needs.
+
+        One pass keyed off ``kind`` (the columns already made every
+        format decision) collects a name code and the params per gate,
+        a reason code per shuttle op, and the ``K_OTHER`` ops verbatim
+        as ``(index, op)`` pairs.  A gate op holding a ``Gate``
+        subclass replays like any gate but would decode as a plain
+        ``Gate``, so it travels verbatim too.  ``ops`` and the check
+        plans are never part of the state.
+        """
+        ops = self.ops
+        name_code: dict[str, int] = {}
+        name_codes: list[int] = []
+        param_counts: list[int] = []
+        params: list[float] = []
+        reason_code: dict = {}
+        reason_codes: list[int] = []
+        other: list[tuple[int, object]] = []
+        for index, kind in enumerate(self.kind_l):
+            if kind == K_GATE:
+                gate = ops[index].gate
+                if type(gate) is not Gate:
+                    other.append((index, ops[index]))
+                    continue
+                code = name_code.get(gate.name)
+                if code is None:
+                    code = name_code[gate.name] = len(name_code)
+                name_codes.append(code)
+                param_counts.append(len(gate.params))
+                params.extend(gate.params)
+            elif kind == K_OTHER:
+                other.append((index, ops[index]))
+            else:
+                reason = ops[index].reason
+                code = reason_code.get(reason)
+                if code is None:
+                    code = reason_code[reason] = len(reason_code)
+                reason_codes.append(code)
+        return {
+            "version": STREAM_FORMAT,
+            "kind": self.kind,
+            "a": _narrow(self.a),
+            "b": _narrow(self.b),
+            "c": _narrow(self.c),
+            "gate_names": list(name_code),
+            "gate_name_codes": _narrow(name_codes),
+            "gate_param_counts": _narrow(param_counts),
+            "gate_params": np.array(params, dtype=np.float64),
+            "reasons": list(reason_code),
+            "reason_codes": _narrow(reason_codes),
+            "other": other,
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        version = state.get("version")
+        if version != STREAM_FORMAT:
+            raise ValueError(
+                f"unsupported CompiledStream format {version!r} "
+                f"(expected {STREAM_FORMAT})"
+            )
+        self.kind = kind = state["kind"]
+        self.a = state["a"].astype(np.int64)
+        self.b = state["b"].astype(np.int64)
+        self.c = state["c"].astype(np.int64)
+        self.kind_l = kinds = kind.tolist()
+        self.a_l = col_a = self.a.tolist()
+        self.b_l = col_b = self.b.tolist()
+        self.c_l = col_c = self.c.tolist()
+        self.d_l = ((kind == K_GATE) & (self.c >= 0)).tolist()
+        self.needs_scalar = bool((kind >= K_SWAP).any())
+        self._plans = {}
+
+        gate_names = state["gate_names"]
+        names = [gate_names[i] for i in state["gate_name_codes"].tolist()]
+        param_counts = state["gate_param_counts"].tolist()
+        params = state["gate_params"].tolist()
+        reasons = state["reasons"]
+        shuttle_reasons = [reasons[i] for i in state["reason_codes"].tolist()]
+        other = dict(state["other"])
+        ops: list = []
+        g = p = r = 0  # gate / param / shuttle-reason cursors
+        for index, op_kind in enumerate(kinds):
+            if index in other:
+                ops.append(other[index])
+                continue
+            a = col_a[index]
+            b = col_b[index]
+            c = col_c[index]
+            if op_kind == K_GATE:
+                count = param_counts[g]
+                qubits = (b,) if c < 0 else (b, c)
+                gate = Gate(names[g], qubits, params[p : p + count])
+                ops.append(GateOp(gate, a))
+                g += 1
+                p += count
+                continue
+            reason = shuttle_reasons[r]
+            r += 1
+            if op_kind == K_MOVE:
+                ops.append(MoveOp(a, b, c, reason))
+            elif op_kind == K_SPLIT:
+                ops.append(SplitOp(a, b, reason))
+            elif op_kind == K_MERGE:
+                ops.append(MergeOp(a, b, reason, None if c < 0 else c))
+            else:
+                ops.append(SwapOp(a, b, c, reason))
+        self.ops = ops
 
 def compile_stream(source) -> "CompiledStream":
     """Compile a :class:`~repro.sim.schedule.Schedule` (or op sequence)
@@ -187,7 +325,10 @@ def compile_stream(source) -> "CompiledStream":
                 col_a[i], col_b[i] = ion, trap
                 col_c[i] = -1 if position is None else position
         elif cls is SwapOp:
-            kind[i] = K_SWAP
+            ion_a, ion_b, trap = op.ion_a, op.ion_b, op.trap
+            if _fits(ion_a) and _fits(ion_b) and _fits(trap):
+                kind[i] = K_SWAP
+                col_a[i], col_b[i], col_c[i] = ion_a, ion_b, trap
     stream = CompiledStream(list(ops), kind, col_a, col_b, col_c, col_d)
     try:
         source._compiled_stream = stream

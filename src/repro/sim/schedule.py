@@ -18,6 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..core.vector import HAVE_NUMPY, compile_stream
 
 #: Exact-class -> kind discriminator (fallback: the op's own property).
 _KIND_OF = {
@@ -155,28 +156,33 @@ class Schedule:
     # Pickling (the batch pool / result cache round-trip)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle the op stream in packed columnar form when numpy is
-        available (see :mod:`repro.sim.packing`): schedules cross the
-        worker-pool boundary and land in the result cache on every
-        sweep job, and packing replaces tens of thousands of per-op
-        dataclass reduces with a handful of ndarrays.  Caches (hash,
-        kind tally survives; compiled stream does not) are rebuilt on
-        demand after unpickling."""
-        from .packing import pack_ops
-
-        packed = pack_ops(self._ops)
-        if packed is None:
+        """Pickle the op stream as its replay-kernel columns when numpy
+        is available (see :class:`repro.core.vector.CompiledStream`):
+        schedules cross the worker-pool boundary and land in the result
+        cache on every sweep job, and the columns replace tens of
+        thousands of per-op dataclass reduces with a handful of
+        ndarrays.  A schedule that already replayed ships its cached
+        stream; any other is encoded without caching the stream, so
+        pickling adds no memory to it.  The kind tally travels too;
+        the hash and the compiled stream are rebuilt on demand."""
+        if not HAVE_NUMPY:
             return {"_ops": self._ops, "_kind_counts": self._kind_counts}
-        return {"_packed": packed, "_kind_counts": self._kind_counts}
+        stream = self._compiled_stream
+        if stream is None:
+            stream = compile_stream(self._ops)  # a list: nothing cached
+        return {"_stream": stream, "_kind_counts": self._kind_counts}
 
     def __setstate__(self, state: dict) -> None:
-        packed = state.get("_packed")
-        if packed is not None:
-            from .packing import unpack_ops
-
-            self._ops = unpack_ops(packed)
+        # Copies: a shallow ``copy.copy`` hands over the live state, and
+        # the clone must not share its op list with the original.
+        if "_stream" in state:
+            self._ops = list(state["_stream"].ops)
+        elif "_ops" in state:
+            self._ops = list(state["_ops"])
         else:
-            self._ops = state["_ops"]
+            raise ValueError(
+                f"unsupported Schedule pickle state: keys {sorted(state)}"
+            )
         self._kind_counts = state.get("_kind_counts")
         self._hash = None
         self._compiled_stream = None

@@ -31,8 +31,10 @@ from repro.bench import random_circuit
 from repro.bench.suite import paper_suite
 from repro.circuits.circuit import Circuit
 from repro.compiler.config import CompilerConfig
+from repro.core.ops import ShuttleReason
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval.harness import compare, run_suite
+from repro.sim.schedule import Schedule
 
 
 def tiny_machine():
@@ -243,6 +245,37 @@ class TestCache:
         cache._path(key).write_bytes(b"not a pickle")
         assert cache.get(key) is None
         assert cache.stats.misses == 1
+
+    def test_stale_packed_schedule_entry_is_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry pickled in the retired ``{"_packed": {"version": 1}}``
+        schedule layout is a counted, quarantined miss: no decoder for
+        that layout exists, so it can never turn into a wrong schedule."""
+        packed = {
+            "version": 1,
+            "kinds": bytes([1]),
+            "shuttle_ints": (3, 0, 1),
+            "reasons": [ShuttleReason.GATE],
+            "reason_codes": bytes([0]),
+            "other": [],
+        }
+        old_state = {"_packed": packed, "_kind_counts": {"move": 1}}
+        with monkeypatch.context() as patch:
+            patch.setattr(Schedule, "__getstate__", lambda self: old_state)
+            blob = pickle.dumps({"schedule": Schedule()})
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" + "c" * 62
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
+        assert path.with_suffix(".pkl.corrupt").exists()
+        assert cache.get(key) is None  # quarantined: a plain miss now
+        assert cache.stats.corrupt == 1
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

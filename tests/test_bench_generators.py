@@ -1,5 +1,7 @@
 """Benchmark-generator tests: paper sizes and structural properties."""
 
+import hashlib
+
 import pytest
 
 from repro.bench import (
@@ -152,6 +154,36 @@ class TestRandomEnsemble:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             random_circuit(10, 10, seed=1, family="nope")
+
+    @pytest.mark.parametrize("family", ["uniform", "layered"])
+    @pytest.mark.parametrize("qubits", [0, 1])
+    def test_fewer_than_two_qubits_rejected(self, family, qubits):
+        # A single qubit has no pair to couple: the layered loop used
+        # to spin forever instead of failing.
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            random_circuit(qubits, 5, seed=0, family=family)
+
+    @pytest.mark.parametrize(
+        "qubits,gates,seed,family,digest",
+        [
+            (16, 200, 1, "uniform", "3c61f2af3edb8637"),
+            (70, 1438, 5, "uniform", "28c47a7c93730bff"),
+            (2, 5, 11, "uniform", "c4905fa7c052924d"),
+            (10, 45, 4, "layered", "8c1163bd0ba4c37d"),
+            (61, 999, 3, "layered", "4ad85a987c20dc59"),
+            (2, 7, 0, "layered", "a810ff9ae324fc76"),
+        ],
+    )
+    def test_gate_list_digest_pinned(
+        self, qubits, gates, seed, family, digest
+    ):
+        """The generator's RNG draw order is part of every recorded
+        random-circuit result: these digests pin the exact gate lists."""
+        circuit = random_circuit(qubits, gates, seed, family)
+        assert {gate.name for gate in circuit.gates} == {"ms"}
+        pairs = (gate.qubits for gate in circuit.gates)
+        text = ";".join(f"{a},{b}" for a, b in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_paper_suite_sizes(self):
         suite = paper_random_suite(circuits_per_size=2)

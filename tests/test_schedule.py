@@ -1,7 +1,25 @@
 """Schedule container tests."""
 
+import copy
+import pickle
+
+import pytest
+
 from repro.circuits.gate import Gate
-from repro.core.ops import GateOp, MergeOp, MoveOp, ShuttleReason, SplitOp
+from repro.core.ops import (
+    GateOp,
+    MergeOp,
+    MoveOp,
+    ShuttleReason,
+    SplitOp,
+    SwapOp,
+)
+from repro.core.vector import (
+    HAVE_NUMPY,
+    STREAM_FORMAT,
+    CompiledStream,
+    compile_stream,
+)
 from repro.sim.schedule import Schedule
 
 
@@ -138,3 +156,121 @@ class TestSpliced:
         assert len(out) == 7
         assert out.num_gates == 3
         assert out.count_kinds() == Schedule(out.ops).count_kinds()
+
+
+class TracedMove(MoveOp):
+    """A subclassed op: outside the columns, pickled verbatim."""
+
+
+class TracedGate(Gate):
+    """A subclassed gate: replays as a gate, pickled verbatim."""
+
+
+#: One schedule per op shape the pickle format distinguishes.
+ROUND_TRIP_CASES = {
+    "1q-gate": [GateOp(Gate("h", (3,)), 0)],
+    "1q-gate-params": [GateOp(Gate("rz", (1,), (0.25,)), 2)],
+    "2q-gate": [GateOp(Gate("ms", (0, 1)), 0)],
+    "2q-gate-params": [GateOp(Gate("rxx", (4, 2), (-1.5,)), 1)],
+    "3q-gate": [GateOp(Gate("ccx", (0, 1, 2)), 0)],
+    "move": [MoveOp(3, 0, 1, ShuttleReason.REBALANCE)],
+    "split": [SplitOp(3, 0, ShuttleReason.INITIAL)],
+    "merge-tail": [MergeOp(3, 1)],
+    "merge-head": [MergeOp(3, 1, ShuttleReason.REBALANCE, 0)],
+    "merge-negative": [MergeOp(3, 1, position=-1)],
+    "swap": [SwapOp(0, 1, 2, ShuttleReason.REBALANCE)],
+    "subclassed-op": [TracedMove(3, 0, 1)],
+    "subclassed-gate": [GateOp(TracedGate("ms", (0, 1)), 0)],
+    "ion-beyond-int64": [MoveOp(2**63, 0, 1), SplitOp(-(2**63) - 1, 0)],
+    "empty": [],
+}
+ROUND_TRIP_CASES["mixed"] = [
+    op for ops in ROUND_TRIP_CASES.values() for op in ops
+] + list(mixed_schedule().ops)
+
+
+def _columns(ops):
+    stream = compile_stream(list(ops))
+    return (
+        stream.kind.tolist(),
+        stream.a.tolist(),
+        stream.b.tolist(),
+        stream.c.tolist(),
+        stream.d_l,
+        stream.needs_scalar,
+    )
+
+
+class TestPickle:
+    @pytest.mark.parametrize(
+        "ops", ROUND_TRIP_CASES.values(), ids=ROUND_TRIP_CASES.keys()
+    )
+    def test_round_trip(self, ops):
+        schedule = Schedule(ops)
+        tally = schedule.count_kinds()  # the tally travels in the state
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule
+        assert [type(op) for op in clone] == [type(op) for op in ops]
+        assert hash(clone) == hash(schedule)
+        assert clone.count_kinds() == tally
+        assert Schedule(clone.ops).count_kinds() == tally
+        assert clone.num_two_qubit_gates == schedule.num_two_qubit_gates
+        assert clone.shuttles_by_reason() == schedule.shuttles_by_reason()
+        if HAVE_NUMPY:
+            assert _columns(clone.ops) == _columns(ops)
+
+    def test_shallow_copy_owns_its_ops(self):
+        schedule = mixed_schedule()
+        if HAVE_NUMPY:
+            compile_stream(schedule)  # the state then carries this stream
+        clone = copy.copy(schedule)
+        clone.append(SplitOp(5, 0))
+        assert len(schedule) == len(clone) - 1
+        if HAVE_NUMPY:
+            assert len(schedule._compiled_stream.ops) == len(schedule)
+
+    def test_pickling_attaches_no_stream(self):
+        schedule = mixed_schedule()
+        pickle.dumps(schedule)
+        assert schedule._compiled_stream is None
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
+    def test_pickling_reuses_the_replay_stream(self):
+        schedule = mixed_schedule()
+        stream = compile_stream(schedule)
+        assert schedule.__getstate__()["_stream"] is stream
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule
+        assert clone._compiled_stream is None
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
+    def test_stream_round_trip(self):
+        ops = ROUND_TRIP_CASES["mixed"]
+        stream = compile_stream(ops)
+        clone = pickle.loads(pickle.dumps(stream))
+        assert clone.ops == stream.ops
+        for name in ("kind", "a", "b", "c"):
+            column, restored = getattr(stream, name), getattr(clone, name)
+            assert restored.dtype == column.dtype
+            assert restored.tolist() == column.tolist()
+        for name in ("kind_l", "a_l", "b_l", "c_l", "d_l", "needs_scalar"):
+            assert getattr(clone, name) == getattr(stream, name)
+        state = stream.__getstate__()
+        assert "ops" not in state and "_plans" not in state
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
+    @pytest.mark.parametrize("version", [None, 1, STREAM_FORMAT + 1])
+    def test_unknown_stream_format_rejected(self, version):
+        state = compile_stream(mixed_schedule().ops).__getstate__()
+        if version is None:
+            del state["version"]
+        else:
+            state["version"] = version
+        with pytest.raises(ValueError, match="unsupported CompiledStream"):
+            CompiledStream.__new__(CompiledStream).__setstate__(state)
+
+    def test_unknown_schedule_state_rejected(self):
+        with pytest.raises(ValueError, match="unsupported Schedule"):
+            Schedule.__new__(Schedule).__setstate__(
+                {"_packed": {"version": 1}, "_kind_counts": None}
+            )

@@ -116,6 +116,7 @@ class TestJobSpec:
             ({"gates": 10_000_000}, "gates must be"),
             ({"family": "exotic"}, "unknown random family"),
             ({"deadline": -1.0}, "deadline must be"),
+            ({"qubits": 1, "family": "layered"}, "at least 2 qubits"),
         ],
     )
     def test_validation(self, mutation, match):
