@@ -7,6 +7,8 @@ per trap (Section IV-A, "Hardware model").
 
 from __future__ import annotations
 
+import math
+
 from .machine import QCCDMachine, uniform_machine
 from .topology import grid_topology, linear_topology, ring_topology
 
@@ -55,6 +57,32 @@ def grid_machine(
     return uniform_machine(grid_topology(rows, cols), capacity, comm_capacity)
 
 
+def _parse_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """``(family, sizes)`` of a machine spec string, e.g.
+    ``("grid", (2, 3))``; :class:`ValueError` for anything else."""
+    if isinstance(spec, str):
+        try:
+            if spec == "l6":
+                return "l6", ()
+            for family in ("linear", "ring"):
+                if spec.startswith(family):
+                    return family, (int(spec[len(family) :]),)
+            if spec.startswith("grid"):
+                rows, cols = spec[len("grid") :].split("x")
+                return "grid", (int(rows), int(cols))
+        except ValueError:
+            pass
+    raise ValueError(f"unknown machine {spec!r}")
+
+
+def spec_num_traps(spec: str) -> int:
+    """The trap count of the machine ``spec`` names, read off the spec
+    string without building the machine (a large one takes seconds).
+    Raises :class:`ValueError` for a malformed spec."""
+    family, sizes = _parse_spec(spec)
+    return L6_TRAPS if family == "l6" else math.prod(sizes)
+
+
 def machine_from_spec(spec: str) -> QCCDMachine:
     """Parse one machine spec string into a preset machine.
 
@@ -62,16 +90,15 @@ def machine_from_spec(spec: str) -> QCCDMachine:
     vocabulary shared by the CLI and :mod:`repro.loadgen` scenarios.
     Raises :class:`ValueError` for anything else.
     """
+    family, sizes = _parse_spec(spec)
+    builders = {
+        "l6": l6_machine,
+        "linear": linear_machine,
+        "ring": ring_machine,
+        "grid": grid_machine,
+    }
     try:
-        if spec == "l6":
-            return l6_machine()
-        if spec.startswith("linear"):
-            return linear_machine(int(spec[len("linear") :]))
-        if spec.startswith("ring"):
-            return ring_machine(int(spec[len("ring") :]))
-        if spec.startswith("grid"):
-            rows, cols = spec[len("grid") :].split("x")
-            return grid_machine(int(rows), int(cols))
+        return builders[family](*sizes)
     except ValueError:
         pass
     raise ValueError(f"unknown machine {spec!r}")

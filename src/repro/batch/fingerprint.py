@@ -19,6 +19,12 @@ Canonicalization rules:
   explicit encodings,
 * enums become ``["enum", class-name, value]``.
 
+:func:`canonicalize` is the specification.  Circuits, the one large
+input, also have a direct text encoder (:func:`circuit_json`) that
+writes the same bytes without building the intermediate tree and
+memoizes the gate list on the circuit; ``CompileJob.fingerprint``
+splices that text into its document.
+
 Wall-clock outputs (e.g. ``CompilationResult.compile_time``) never
 enter a fingerprint: fingerprints cover compilation *inputs* only, so
 cached replays are byte-identical modulo timing.
@@ -34,6 +40,7 @@ from typing import Any
 
 from ..arch.topology import TrapTopology
 from ..circuits.circuit import Circuit
+from ..circuits.gate import Gate
 
 #: Bump to invalidate every existing cache entry when the canonical
 #: encoding (or compilation semantics) changes incompatibly.
@@ -41,6 +48,9 @@ from ..circuits.circuit import Circuit
 #: pass-delta fields), changing both the canonical config encoding and
 #: the pickled result layout.
 FINGERPRINT_VERSION = 2
+
+
+_SEPARATORS = (",", ":")
 
 
 class FingerprintError(TypeError):
@@ -89,9 +99,63 @@ def canonicalize(obj: Any) -> Any:
     )
 
 
+def canonical_json(obj: Any) -> str:
+    """The compact, key-sorted JSON text of ``canonicalize(obj)``: the
+    bytes a fingerprint hashes."""
+    return json.dumps(canonicalize(obj), sort_keys=True, separators=_SEPARATORS)
+
+
+def circuit_json(circuit: Circuit) -> str:
+    """``canonical_json(circuit)``, written directly.
+
+    The gate list is encoded once and memoized on the circuit
+    (``Circuit._gates_json``, reset by every append and never
+    pickled); the name and register size are formatted on every call,
+    so renaming a circuit changes its text.
+    """
+    gates = circuit._gates_json
+    if gates is None:
+        gates = circuit._gates_json = _gate_list_json(circuit)
+    head = json.dumps(
+        ["circuit", circuit.name, circuit.num_qubits], separators=_SEPARATORS
+    )
+    return f"{head[:-1]},{gates}]"
+
+
+def _gate_list_json(gates) -> str:
+    """``canonical_json(list(gates))`` for a gate sequence.
+
+    A plain :class:`Gate` holds a str name, int qubits and float params
+    (its constructor guarantees the types), so its encoding is a fixed
+    template, ``["dc","Gate",{"name":…,"params":[hex…],"qubits":[…]}]``:
+    keys in sorted order, the name escaped by :mod:`json`, params as
+    ``float.hex`` strings (which need no escaping).  Gate subclasses
+    take the generic walk.
+    """
+    heads: dict[str, str] = {}
+    parts = []
+    for gate in gates:
+        if type(gate) is not Gate:
+            parts.append(canonical_json(gate))
+            continue
+        head = heads.get(gate.name)
+        if head is None:
+            head = heads[gate.name] = (
+                f'["dc","Gate",{{"name":{json.dumps(gate.name)},"params":['
+            )
+        params = ""
+        if gate.params:
+            params = '"' + '","'.join([v.hex() for v in gate.params]) + '"'
+        qubits = ",".join(map(str, gate.qubits))
+        parts.append(f'{head}{params}],"qubits":[{qubits}]}}]')
+    return f"[{','.join(parts)}]"
+
+
+def digest(text: str) -> str:
+    """SHA-256 hex digest of ``text`` (UTF-8)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def fingerprint(obj: Any) -> str:
     """SHA-256 hex digest of the canonical JSON encoding of ``obj``."""
-    payload = json.dumps(
-        canonicalize(obj), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest(canonical_json(obj))

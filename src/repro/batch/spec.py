@@ -20,9 +20,10 @@ Two circuit kinds:
   and cached).
 
 Validation is strict and bounded: unknown keys, unknown names, and
-out-of-range sizes (:data:`MAX_QUBITS` / :data:`MAX_GATES`) all raise
-``ValueError`` — the serving layer maps that to a structured 400, so a
-malformed or abusive request never reaches a worker.
+out-of-range sizes (:data:`MAX_QUBITS` / :data:`MAX_GATES` /
+:data:`MAX_TRAPS`) all raise ``ValueError`` — the serving layer maps
+that to a structured 400, so a malformed or abusive request never
+reaches a worker.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
-from ..arch.presets import machine_from_spec
+from ..arch.presets import machine_from_spec, spec_num_traps
 from ..bench.qaoa import qaoa_circuit
 from ..bench.qft import qft_circuit
 from ..bench.quadraticform import quadratic_form_circuit
@@ -62,6 +63,10 @@ CONFIG_FACTORIES = {
 #: a hard stop for abusive payloads.
 MAX_QUBITS = 256
 MAX_GATES = 50_000
+#: Checked on the spec string before the machine is built: building
+#: one takes time superlinear in its trap count (a 6400-trap grid,
+#: tens of seconds), and validation runs on a request handler thread.
+MAX_TRAPS = 64
 
 _RANDOM_FAMILIES = ("uniform", "layered")
 
@@ -114,7 +119,13 @@ class JobSpec:
                 f"unknown config {self.config!r}; "
                 f"choose from {sorted(CONFIG_FACTORIES)}"
             )
-        machine_from_spec(self.machine)  # raises ValueError on typos
+        traps = spec_num_traps(self.machine)  # raises ValueError on typos
+        if traps > MAX_TRAPS:
+            raise ValueError(
+                f"machine {self.machine!r} has {traps} traps; "
+                f"at most {MAX_TRAPS} are admitted"
+            )
+        _resolve_machine(self.machine)
         if self.kind == "bench":
             if self.name not in BENCH_FACTORIES:
                 raise ValueError(

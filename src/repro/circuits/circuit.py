@@ -38,6 +38,10 @@ class Circuit:
         self.num_qubits = int(num_qubits)
         self.name = name
         self._gates: list[Gate] = []
+        #: Canonical JSON text of the gate list, memoized by
+        #: repro.batch.fingerprint.circuit_json; reset by ``append``
+        #: and left out of the pickle state.
+        self._gates_json: str | None = None
         for gate in gates:
             self.append(gate)
 
@@ -54,6 +58,7 @@ class Circuit:
                 f"only {self.num_qubits} qubits"
             )
         self._gates.append(gate)
+        self._gates_json = None
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
@@ -74,6 +79,23 @@ class Circuit:
                 f"{self.num_qubits}-qubit circuit"
             )
         return self.extend(other.gates)
+
+    # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Everything but the fingerprint memo: a circuit crossing to a
+        worker must not carry its (large) canonical text along."""
+        state = self.__dict__.copy()
+        del state["_gates_json"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # A copy: ``copy.copy`` hands over the live state, and the
+        # clone must not share its gate list with the original.
+        self._gates = list(self._gates)
+        self._gates_json = None
 
     # ------------------------------------------------------------------
     # Access

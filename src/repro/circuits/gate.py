@@ -124,13 +124,12 @@ class Gate:
             )
         if any(q < 0 for q in self.qubits):
             raise GateError(f"gate {self.name!r} has negative qubit index")
-        expected = self.expected_arity(self.name)
+        expected, expected_params = gate_signature(self.name)
         if expected is not None and len(self.qubits) != expected:
             raise GateError(
                 f"gate {self.name!r} expects {expected} qubits, "
                 f"got {len(self.qubits)}"
             )
-        expected_params = _PARAMETER_COUNTS.get(self.name)
         if expected_params is not None and len(self.params) != expected_params:
             raise GateError(
                 f"gate {self.name!r} expects {expected_params} parameters, "
@@ -177,6 +176,38 @@ class Gate:
             angles = ", ".join(_format_angle(p) for p in self.params)
             return f"{self.name}({angles}) {args};"
         return f"{self.name} {args};"
+
+
+def gate_signature(name: str) -> tuple[int | None, int | None]:
+    """The ``(qubit count, parameter count)`` a gate called ``name``
+    must have; ``None`` where the name leaves a count free."""
+    return Gate.expected_arity(name), _PARAMETER_COUNTS.get(name)
+
+
+def check_canonical_name(name: object) -> None:
+    """Raise :class:`GateError` unless ``name`` is a string already in
+    the lower-case form every constructed :class:`Gate` holds."""
+    if not isinstance(name, str) or name != name.lower():
+        raise GateError(f"gate name {name!r} is not a lower-case string")
+
+
+def trusted_gate(
+    name: str, qubits: tuple[int, ...], params: tuple[float, ...]
+) -> Gate:
+    """A :class:`Gate` built without ``__post_init__``.
+
+    The caller has validated every invariant ``__post_init__`` enforces
+    (the schedule decoder in :mod:`repro.core.vector` checks a whole
+    stream at once) and passes ``qubits`` as a tuple of ints and
+    ``params`` as a tuple of floats.  The result is equal, hash-equal
+    and repr-equal to ``Gate(name, qubits, params)``.
+    """
+    gate = object.__new__(Gate)
+    attrs = gate.__dict__  # frozen: bypass the dataclass __setattr__
+    attrs["name"] = name
+    attrs["qubits"] = qubits
+    attrs["params"] = params
+    return gate
 
 
 def _format_angle(value: float) -> str:

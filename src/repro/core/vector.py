@@ -48,7 +48,13 @@ from __future__ import annotations
 import math
 import os
 
-from ..circuits.gate import Gate
+from ..circuits.gate import (
+    Gate,
+    GateError,
+    check_canonical_name,
+    gate_signature,
+    trusted_gate,
+)
 from .errors import MachineModelError
 from .observers import FIDELITY_FLOOR, ClockObserver, HeatingObserver
 from .ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
@@ -124,8 +130,8 @@ class CompiledStream:
     the original objects for the scalar fallback.
 
     Pickling keeps the columns and adds the vocabulary they lack (see
-    :meth:`__getstate__`); unpickling rebuilds ``ops`` through the
-    normal op and :class:`~repro.circuits.gate.Gate` constructors.
+    :meth:`__getstate__`); unpickling checks the gate columns in bulk
+    and rebuilds ``ops`` (see :func:`_decode_gates`).
     """
 
     __slots__ = (
@@ -234,30 +240,26 @@ class CompiledStream:
         self.needs_scalar = bool((kind >= K_SWAP).any())
         self._plans = {}
 
-        gate_names = state["gate_names"]
-        names = [gate_names[i] for i in state["gate_name_codes"].tolist()]
-        param_counts = state["gate_param_counts"].tolist()
-        params = state["gate_params"].tolist()
+        other = dict(state["other"])
+        gate_rows = kind == K_GATE
+        if other:
+            gate_rows[list(other)] = False  # subclassed gates travel verbatim
+        gates = _decode_gates(state, self.b[gate_rows], self.c[gate_rows])
         reasons = state["reasons"]
         shuttle_reasons = [reasons[i] for i in state["reason_codes"].tolist()]
-        other = dict(state["other"])
         ops: list = []
-        g = p = r = 0  # gate / param / shuttle-reason cursors
+        g = r = 0  # gate / shuttle-reason cursors
         for index, op_kind in enumerate(kinds):
             if index in other:
                 ops.append(other[index])
                 continue
             a = col_a[index]
+            if op_kind == K_GATE:
+                ops.append(GateOp(gates[g], a))
+                g += 1
+                continue
             b = col_b[index]
             c = col_c[index]
-            if op_kind == K_GATE:
-                count = param_counts[g]
-                qubits = (b,) if c < 0 else (b, c)
-                gate = Gate(names[g], qubits, params[p : p + count])
-                ops.append(GateOp(gate, a))
-                g += 1
-                p += count
-                continue
             reason = shuttle_reasons[r]
             r += 1
             if op_kind == K_MOVE:
@@ -269,6 +271,68 @@ class CompiledStream:
             else:
                 ops.append(SwapOp(a, b, c, reason))
         self.ops = ops
+
+
+def _decode_gates(state: dict, qubit0, qubit1) -> list:
+    """The plain gates of a pickled stream, in order, from their qubit
+    columns (``qubit1`` is -1 for one-qubit gates) and vocabulary.
+
+    Every invariant ``Gate.__post_init__`` enforces is checked once
+    over the whole stream instead of once per gate: the lower-case
+    name and the name's arity and parameter count
+    (:func:`~repro.circuits.gate.gate_signature`) once per vocabulary
+    entry, then non-negative, distinct qubits and each row's arity and
+    parameter count as array predicates.  A violation raises
+    :class:`~repro.circuits.gate.GateError`, as the constructor would;
+    a clean stream builds each gate through
+    :func:`~repro.circuits.gate.trusted_gate`.
+    """
+    gate_names = state["gate_names"]
+    codes = state["gate_name_codes"].astype(np.int64)
+    counts = state["gate_param_counts"].astype(np.int64)
+    if not len(codes) == len(counts) == len(qubit0):
+        raise ValueError("gate vocabulary columns do not match the stream")
+    arity = []
+    param_count = []
+    for name in gate_names:
+        check_canonical_name(name)
+        qubits, count = gate_signature(name)
+        arity.append(-1 if qubits is None else qubits)
+        param_count.append(-1 if count is None else count)
+    two_qubit = qubit1 >= 0
+    if (qubit0 < 0).any() or (qubit1 < -1).any():
+        raise GateError("decoded gate has negative qubit index")
+    if (two_qubit & (qubit0 == qubit1)).any():
+        raise GateError("decoded two-qubit gate acts on duplicate qubits")
+    for table, actual, what in (
+        (arity, np.where(two_qubit, 2, 1), "qubits"),
+        (param_count, counts, "parameters"),
+    ):
+        expected = np.array(table, dtype=np.int64)[codes]
+        bad = np.flatnonzero((expected >= 0) & (expected != actual))
+        if bad.size:
+            row = bad[0]
+            raise GateError(
+                f"decoded gate {gate_names[codes[row]]!r} expects "
+                f"{expected[row]} {what}, got {actual[row]}"
+            )
+    params = state["gate_params"].tolist()
+    if (counts < 0).any() or int(counts.sum()) != len(params):
+        raise ValueError("gate parameter columns do not match the stream")
+    gates = []
+    p = 0
+    for code, count, b, c in zip(
+        codes.tolist(), counts.tolist(), qubit0.tolist(), qubit1.tolist()
+    ):
+        if count:
+            gate_params = tuple(params[p : p + count])
+            p += count
+        else:
+            gate_params = ()
+        qubits = (b,) if c < 0 else (b, c)
+        gates.append(trusted_gate(gate_names[code], qubits, gate_params))
+    return gates
+
 
 def compile_stream(source) -> "CompiledStream":
     """Compile a :class:`~repro.sim.schedule.Schedule` (or op sequence)

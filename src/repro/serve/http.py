@@ -46,6 +46,16 @@ from .service import CompileService
 MAX_BODY_BYTES = 64 * 1024
 
 
+class _Server(ThreadingHTTPServer):
+    """The stdlib threading server with a listen backlog sized for
+    bursts.  socketserver's default of 5 overflows when many clients
+    connect at once (an open-loop burst of submissions plus status
+    polls), and an overflowing accept queue makes the kernel drop or
+    reset connections: a client then sees a reset, not a 429."""
+
+    request_queue_size = 128
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request; dispatch, envelope errors, always Content-Length."""
 
@@ -174,7 +184,7 @@ class ServerHandle:
         cache: ResultCache | NullCache | None = None,
     ) -> None:
         self.service = CompileService(config, cache)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
+        self.httpd = _Server((host, port), _Handler)
         self.httpd.service = self.service  # type: ignore[attr-defined]
         self.httpd.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -18,6 +18,7 @@ from repro.arch import (
     ring_topology,
     uniform_machine,
 )
+from repro.arch.presets import machine_from_spec, spec_num_traps
 from repro.arch.topology import TopologyError
 
 
@@ -188,3 +189,24 @@ class TestMachine:
         assert linear_machine(3).num_traps == 3
         assert ring_machine(4).num_traps == 4
         assert grid_machine(2, 3).num_traps == 6
+
+
+class TestMachineSpecs:
+    @pytest.mark.parametrize(
+        "spec", ["l6", "linear2", "linear7", "ring5", "grid2x3", "grid3x1"]
+    )
+    def test_trap_count_read_off_the_spec(self, spec):
+        assert spec_num_traps(spec) == machine_from_spec(spec).num_traps
+
+    @pytest.mark.parametrize(
+        "spec", ["warp9", "linear", "linearx", "grid2", "grid2x", "L6", 6]
+    )
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="unknown machine"):
+            spec_num_traps(spec)
+        with pytest.raises(ValueError, match="unknown machine"):
+            machine_from_spec(spec)
+
+    def test_unbuildable_size_rejected(self):
+        with pytest.raises(ValueError, match="unknown machine"):
+            machine_from_spec("linear0")

@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.circuits.gate import Gate
+from repro.batch import ResultCache
+from repro.circuits.gate import Gate, GateError
 from repro.core.ops import (
     GateOp,
     MergeOp,
@@ -21,6 +22,9 @@ from repro.core.vector import (
     compile_stream,
 )
 from repro.sim.schedule import Schedule
+
+if HAVE_NUMPY:
+    import numpy as np
 
 
 def mixed_schedule() -> Schedule:
@@ -274,3 +278,124 @@ class TestPickle:
             Schedule.__new__(Schedule).__setstate__(
                 {"_packed": {"version": 1}, "_kind_counts": None}
             )
+
+
+def _gate_row(state, name, *, two_qubit):
+    """Index among the gate rows (the order of the name/param-count
+    columns) and the stream index of the first plain gate ``name``."""
+    names = state["gate_names"]
+    kind = state["kind"].tolist()
+    gate_index = [i for i, k in enumerate(kind) if k == 0]
+    for row, code in enumerate(state["gate_name_codes"].tolist()):
+        index = gate_index[row]
+        if names[code] == name and (state["c"][index] >= 0) == two_qubit:
+            return row, index
+    raise AssertionError(f"no {name} gate in the stream")
+
+
+def _uppercase_name(state):
+    state["gate_names"] = [n.upper() if n == "ms" else n for n in state["gate_names"]]
+
+
+def _negative_qubit(state):
+    _, index = _gate_row(state, "h", two_qubit=False)
+    state["b"][index] = -3
+
+
+def _equal_qubits(state):
+    _, index = _gate_row(state, "ms", two_qubit=True)
+    state["c"][index] = state["b"][index]
+
+
+def _one_qubit_ms(state):
+    _, index = _gate_row(state, "ms", two_qubit=True)
+    state["c"][index] = -1
+
+
+def _rz_without_params(state):
+    row, _ = _gate_row(state, "rz", two_qubit=False)
+    counts = state["gate_param_counts"]
+    start = int(counts[:row].sum())
+    state["gate_params"] = np.delete(state["gate_params"], start)
+    counts[row] = 0
+
+
+#: One hand edit per invariant ``Gate.__post_init__`` enforces.
+CORRUPTIONS = {
+    "upper-case-name": _uppercase_name,
+    "negative-qubit": _negative_qubit,
+    "equal-qubits": _equal_qubits,
+    "ms-with-one-qubit": _one_qubit_ms,
+    "rz-without-params": _rz_without_params,
+}
+
+
+def _corrupt_blob(corrupt, monkeypatch) -> bytes:
+    """A pickled schedule whose stream state went through ``corrupt``."""
+    schedule = mixed_schedule()
+    schedule.append(GateOp(Gate("rz", (1,), (0.5,)), 0))
+    schedule.append(GateOp(Gate("ms", (2, 1)), 1))
+    state = compile_stream(schedule).__getstate__()
+    corrupt(state)
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledStream, "__getstate__", lambda self: state)
+        return pickle.dumps({"schedule": schedule})
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
+class TestCorruptStreamDecode:
+    """Decoding checks every gate invariant on the columns: a stream
+    edited to break one raises GateError instead of building a gate
+    its constructor would refuse."""
+
+    def test_unedited_state_decodes_to_constructed_gates(self, monkeypatch):
+        blob = _corrupt_blob(lambda state: None, monkeypatch)
+        decoded = [op.gate for op in pickle.loads(blob)["schedule"].gate_ops()]
+        built = [Gate(g.name, g.qubits, g.params) for g in decoded]
+        assert len(decoded) == 4
+        assert all(type(gate) is Gate for gate in decoded)
+        assert decoded == built
+        assert [hash(g) for g in decoded] == [hash(g) for g in built]
+        assert [repr(g) for g in decoded] == [repr(g) for g in built]
+
+    @pytest.mark.parametrize(
+        "corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys()
+    )
+    def test_corrupt_column_raises_gate_error(self, corrupt, monkeypatch):
+        blob = _corrupt_blob(corrupt, monkeypatch)
+        with pytest.raises(GateError):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda state: state.update(
+                gate_name_codes=state["gate_name_codes"][:-1]
+            ),
+            lambda state: state.update(
+                gate_params=np.append(state["gate_params"], 1.0)
+            ),
+        ],
+        ids=["missing-name-code", "extra-param"],
+    )
+    def test_misaligned_vocabulary_is_rejected(self, corrupt, monkeypatch):
+        blob = _corrupt_blob(corrupt, monkeypatch)
+        with pytest.raises(ValueError, match="columns do not match"):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize(
+        "corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys()
+    )
+    def test_corrupt_cache_entry_is_quarantined(
+        self, corrupt, monkeypatch, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" + "c" * 62
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(_corrupt_blob(corrupt, monkeypatch))
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
+        assert path.with_suffix(".pkl.corrupt").exists()

@@ -24,7 +24,7 @@ from time import monotonic, sleep
 import pytest
 
 from repro.batch.cache import NullCache, ResultCache
-from repro.batch.spec import JobSpec
+from repro.batch.spec import MAX_TRAPS, JobSpec
 from repro.loadgen import LiveRunner, LoadRunner
 from repro.loadgen.scenario import Scenario, WorkloadItem
 from repro.serve import (
@@ -126,6 +126,21 @@ class TestJobSpec:
     def test_bad_machine_rejected(self):
         with pytest.raises(ValueError):
             JobSpec.from_dict({**tiny_payload(), "machine": "warp9"})
+
+    @pytest.mark.parametrize(
+        "machine", ["linear5000", "ring100000", "grid80x80", "grid1x65"]
+    )
+    def test_oversize_machine_rejected_before_it_is_built(self, machine):
+        start = monotonic()
+        with pytest.raises(ValueError, match=f"at most {MAX_TRAPS} are admitted"):
+            JobSpec.from_dict({**tiny_payload(), "machine": machine})
+        assert monotonic() - start < 0.5
+
+    def test_every_machine_spec_in_use_is_admitted(self):
+        for machine in ("l6", "linear2", "linear3", "linear4", "ring3",
+                        "ring6", "grid2x3", f"linear{MAX_TRAPS}"):
+            spec = JobSpec.from_dict({**tiny_payload(), "machine": machine})
+            assert spec.resolve().machine.num_traps <= MAX_TRAPS
 
     def test_fingerprint_survives_serialization(self):
         """The core wire-format property: a spec resolves to the same
@@ -555,6 +570,41 @@ class TestHTTP:
             assert bad.error_code == "validation"
             not_object = client.request("POST", "/v1/jobs", None)
             assert not_object.status == 400
+
+    def test_oversize_machine_is_a_400(self):
+        service = CompileService(FAST_CONFIG)
+        with pytest.raises(ServeError) as excinfo:
+            service.submit({**tiny_payload(), "machine": "grid80x80"}, "alice")
+        assert excinfo.value.http_status == 400
+        with ServerHandle(FAST_CONFIG) as handle:
+            start = monotonic()
+            response = ServeClient(handle.url).submit(
+                {"kind": "bench", "name": "qft", "machine": "grid80x80"}
+            )
+            assert monotonic() - start < 1.0
+            assert response.status == 400
+            assert response.error_code == "validation"
+            assert "traps" in response.body["error"]["message"]
+
+    def test_listen_backlog_absorbs_a_connection_burst(self):
+        """64 clients connecting at once are all accepted promptly.  An
+        overflowing accept queue makes the kernel drop the handshake
+        (the client retries after ~1 s) or reset the connection."""
+        latencies = []
+        with ServerHandle(FAST_CONFIG) as handle:
+
+            def probe():
+                start = monotonic()
+                ServeClient(handle.url).health()
+                latencies.append(monotonic() - start)
+
+            threads = [threading.Thread(target=probe) for _ in range(64)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert len(latencies) == 64
+        assert max(latencies) < 0.9
 
     def test_oversized_body_rejected(self):
         with ServerHandle(FAST_CONFIG) as handle:
