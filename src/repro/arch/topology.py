@@ -46,6 +46,7 @@ class TrapTopology:
             self.add_edge(a, b)
         self._dist: list[list[int]] | None = None
         self._next_hop: list[list[int]] | None = None
+        self._unique_paths: bool | None = None
 
     def add_edge(self, a: int, b: int) -> None:
         """Add an undirected shuttle path between traps ``a`` and ``b``."""
@@ -61,6 +62,7 @@ class TrapTopology:
         self._adjacency[b].append(a)
         self._dist = None
         self._next_hop = None
+        self._unique_paths = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -78,9 +80,14 @@ class TrapTopology:
         INF = n + 1
         dist = [[INF] * n for _ in range(n)]
         next_hop = [[-1] * n for _ in range(n)]
+        unique = True
         for src in range(n):
             dist[src][src] = 0
             next_hop[src][src] = src
+            # Shortest-path counts, capped at 2: BFS finalizes u before
+            # any v one hop further, so count[u] is exact when used.
+            count = [0] * n
+            count[src] = 1
             queue = deque([src])
             while queue:
                 u = queue.popleft()
@@ -89,9 +96,27 @@ class TrapTopology:
                         dist[src][v] = dist[src][u] + 1
                         # first hop out of src on the path to v
                         next_hop[src][v] = v if u == src else next_hop[src][u]
+                        count[v] = count[u]
                         queue.append(v)
+                    elif dist[src][v] == dist[src][u] + 1:
+                        count[v] = min(2, count[v] + count[u])
+            if max(count) > 1:
+                unique = False
         self._dist = dist
         self._next_hop = next_hop
+        self._unique_paths = unique
+
+    def has_unique_shortest_paths(self) -> bool:
+        """True when every connected pair of traps has exactly one
+        shortest route (linear machines, trees, odd rings).
+
+        Path-diversity passes (``reroute``) are provable no-ops on such
+        topologies.  Computed once with the BFS distance tables; pairs
+        in different components are ignored.
+        """
+        self._ensure_paths()
+        assert self._unique_paths is not None
+        return self._unique_paths
 
     def distance(self, a: int, b: int) -> int:
         """Hop count of the shortest shuttle route between two traps."""

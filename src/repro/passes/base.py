@@ -237,17 +237,33 @@ class SpliceEditor:
     :meth:`Schedule.spliced` on every committed edit — op-kind tallies
     are derived per splice in O(window), so the pass's result carries
     its statistics without a from-scratch recount.
+
+    The engine is built on the first :meth:`try_edit`, not before: a
+    pass that finds no candidate (the common case for elision) pays no
+    replay at all.  It is built from the cache-bearing ``schedule``
+    itself, so its construction replay shares the schedule's compiled
+    columnar stream with the pass manager's engine instead of
+    re-encoding the ops.
     """
 
-    def __init__(
-        self, engine: CheckpointedReplay, schedule: Schedule
-    ) -> None:
-        self.engine = engine
+    def __init__(self, schedule: Schedule, ctx: PassContext) -> None:
         self.schedule = schedule
+        self._ctx = ctx
+        self._engine: CheckpointedReplay | None = None
         self._deleted: list[int] = []
         self._ins_pos: list[int] = []
         self._ins_counts: list[int] = []
         self._ins_prefix: list[int] = []
+
+    @property
+    def engine(self) -> CheckpointedReplay:
+        """The splice engine over the current stream (built on first
+        use from the schedule the editor was opened on)."""
+        if self._engine is None:
+            self._engine = CheckpointedReplay(
+                self._ctx.machine, self.schedule, self._ctx.initial_chains
+            )
+        return self._engine
 
     def begin_sweep(self) -> None:
         """Reset the coordinate map: the engine's *current* stream

@@ -30,7 +30,6 @@ from .base import (
     gate_indices_by_ion,
     has_gate_on_ion_between,
 )
-from ..core.replay import CheckpointedReplay
 from ..sim.schedule import Schedule
 
 #: How many round-trip endpoints to attempt per starting excursion
@@ -50,10 +49,7 @@ class RoundTripElision(SchedulePass):
     def run(
         self, schedule: Schedule, ctx: PassContext
     ) -> tuple[Schedule, int]:
-        engine = CheckpointedReplay(
-            ctx.machine, schedule.ops, ctx.initial_chains
-        )
-        editor = SpliceEditor(engine, schedule)
+        editor = SpliceEditor(schedule, ctx)
         ops = list(schedule.ops)
         rewrites = 0
         # Re-sweep until a pass over the stream elides nothing: removing
@@ -64,7 +60,7 @@ class RoundTripElision(SchedulePass):
             if not accepted:
                 break
             rewrites += accepted
-            ops[:] = engine.ops
+            ops[:] = editor.engine.ops
         return editor.schedule, rewrites
 
     def _sweep(self, ops: list, editor: SpliceEditor) -> int:

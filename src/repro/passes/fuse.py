@@ -40,7 +40,6 @@ from .base import (
     has_gate_on_ion_between,
 )
 from ..core.ops import MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
-from ..core.replay import CheckpointedReplay
 from ..sim.schedule import Schedule
 
 #: Safety cap on fusion sweeps (each sweep must accept at least one
@@ -60,10 +59,7 @@ class MergeSplitFusion(SchedulePass):
     def run(
         self, schedule: Schedule, ctx: PassContext
     ) -> tuple[Schedule, int]:
-        engine = CheckpointedReplay(
-            ctx.machine, schedule.ops, ctx.initial_chains
-        )
-        editor = SpliceEditor(engine, schedule)
+        editor = SpliceEditor(schedule, ctx)
         ops = list(schedule.ops)
         rewrites = 0
         for _ in range(_MAX_SWEEPS):
@@ -72,7 +68,7 @@ class MergeSplitFusion(SchedulePass):
             if not accepted:
                 break
             rewrites += accepted
-            ops[:] = engine.ops
+            ops[:] = editor.engine.ops
         return editor.schedule, rewrites
 
     def _sweep(

@@ -11,13 +11,16 @@ when a strictly less-congested route exists the MoveOps are rewritten
 in place (same hop count — shuttle totals never change, but the
 traffic avoids the hot spots).
 
-On linear machines (the paper's L6) shortest paths are unique and the
-pass is a provable no-op.  Rewrites are verified through the
-checkpointed splice engine — each alternative route is one
-``(start, end, replacement)`` splice replayed from the nearest state
-checkpoint, the full-replay verdict at O(window) cost — and reverted
-when the alternative route is blocked at the stream position the
-journey actually crosses it.
+On topologies whose shortest paths are all unique — linear machines
+(the paper's L6), trees, odd rings — every journey has exactly one
+route, so the pass is a provable no-op there and returns at once
+(:meth:`~repro.arch.topology.TrapTopology.has_unique_shortest_paths`),
+before building any occupancy timeline or replay engine.  Rewrites are
+verified through the checkpointed splice engine — each alternative
+route is one ``(start, end, replacement)`` splice replayed from the
+nearest state checkpoint, the full-replay verdict at O(window) cost —
+and reverted when the alternative route is blocked at the stream
+position the journey actually crosses it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .base import (
     occupancy_timeline,
 )
 from ..core.ops import MoveOp
-from ..core.replay import CheckpointedReplay
+from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
 
 #: Cap on enumerated equal-length paths per journey (grids explode
@@ -73,15 +76,17 @@ class RouteReselection(SchedulePass):
     def run(
         self, schedule: Schedule, ctx: PassContext
     ) -> tuple[Schedule, int]:
-        ops = list(schedule.ops)
-        events = occupancy_timeline(ops)
         machine = ctx.machine
         topology = machine.topology
+        if topology.has_unique_shortest_paths():
+            obs = _obs_active()
+            if obs is not None:
+                obs.metrics.inc(f"passes.{self.name}.skipped_unique_paths")
+            return schedule, 0
 
-        editor = SpliceEditor(
-            CheckpointedReplay(machine, schedule.ops, ctx.initial_chains),
-            schedule,
-        )
+        ops = list(schedule.ops)
+        events = occupancy_timeline(ops)
+        editor = SpliceEditor(schedule, ctx)
         rewrites = 0
 
         for trip in extract_excursions(ops):
@@ -123,6 +128,4 @@ class RouteReselection(SchedulePass):
             ):
                 rewrites += 1
 
-        if not rewrites:
-            return Schedule(ops), 0
         return editor.schedule, rewrites

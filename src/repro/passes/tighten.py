@@ -21,10 +21,12 @@ It never crosses ops touching its own qubits (placement and dependency
 edges stay intact) nor non-move ops of its own trap (the trap's heat
 event order is preserved, so every gate sees exactly the n̄ it saw
 before — the rewrite is fidelity-neutral by construction and only the
-clock interleaving changes).  The hoisted order is checked against the
-circuit's :class:`~repro.circuits.dag.DependencyDAG` and each
-candidate hoist is kept only when the timing replay confirms a strict
-makespan improvement.
+clock interleaving changes).  Since a gate never crosses another gate
+on a shared qubit, each qubit's gate sequence is unchanged, which is
+exactly the per-qubit-order check the pass manager's
+:class:`~repro.passes.verify.EquivalenceReference` applies to every
+pass output.  Each candidate hoist is kept only when the timing replay
+confirms a strict makespan improvement.
 
 The makespan guard is incremental: the pass keeps
 :class:`~repro.core.observers.ClockObserver` snapshots every K ops
@@ -33,7 +35,12 @@ snapshot nearest its hoist window and driving only the remainder, and
 abandons the scan early the moment the candidate's clock vector
 re-converges with a stored baseline snapshot — identical clocks from
 identical remaining ops mean an identical makespan, i.e. a rejection,
-without ever touching the tail.  Clock restoration is float-exact, so
+without ever touching the tail.  Before any tail scan, a *dominance
+prefilter* compares the candidate's clocks right after the hoist
+window with the baseline's at the same point: when no trap is ahead
+in the candidate, the tail cannot make it finish sooner (clock updates
+are monotone, even under float rounding — DESIGN.md §15), and the
+candidate is rejected at once.  Clock restoration is float-exact, so
 every accept/reject decision (and the final stream) matches what a
 from-scratch :func:`~repro.passes.base.estimate_makespan` per
 candidate used to produce.
@@ -45,11 +52,9 @@ from bisect import bisect_left, bisect_right
 from math import isqrt
 
 from .base import PassContext, SchedulePass
-from .verify import VerificationError
-from ..circuits.circuit import Circuit
-from ..circuits.dag import DependencyDAG
 from ..core.observers import ClockObserver
 from ..core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
+from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
 
 
@@ -80,10 +85,11 @@ class GateHoisting(SchedulePass):
         "(dependency-safe, fidelity-neutral, makespan-guarded)"
     )
 
-    #: Bound on timing-replay evaluations per run (each is now an
-    #: incremental scan from the nearest clock checkpoint; a hoist that
-    #: crosses a barrier but does not shorten the critical path is
-    #: evaluated once and discarded).
+    #: Bound on hoist candidates considered per run: every hoist that
+    #: crosses a barrier counts once, whether the dominance prefilter
+    #: rejects it outright or it is scored by an incremental clock scan
+    #: from the nearest checkpoint.  Candidates past the budget are not
+    #: considered at all.
     max_evaluations = 512
 
     #: Bound on how far back one gate may bubble.  Keeps the commute
@@ -95,17 +101,13 @@ class GateHoisting(SchedulePass):
     def run(
         self, schedule: Schedule, ctx: PassContext
     ) -> tuple[Schedule, int]:
-        # Pair each op with its original position so the DAG check can
-        # recover the gate permutation afterwards; `plain` mirrors the
-        # bare op sequence so the timing scans drive list slices
-        # instead of per-op tuple unpacking.
-        indexed = list(enumerate(schedule.ops))
         plain = list(schedule.ops)
-        n = len(indexed)
+        n = len(plain)
         if not n:
             return schedule, 0
         rewrites = 0
         evaluations = 0
+        pruned = 0
 
         clock = ClockObserver(ctx.machine.num_traps)
         interval = max(32, isqrt(n))
@@ -132,12 +134,9 @@ class GateHoisting(SchedulePass):
                 moves_of_trap.setdefault(op.dst, []).append(j)
 
         position = 1
-        while position < n:
+        while position < n and evaluations < self.max_evaluations:
             op = plain[position]
-            if (
-                not isinstance(op, GateOp)
-                or evaluations >= self.max_evaluations
-            ):
+            if not isinstance(op, GateOp):
                 position += 1
                 continue
             target = position
@@ -153,15 +152,18 @@ class GateHoisting(SchedulePass):
             if target < position and self._crosses_move(
                 moves_of_trap, op.trap, target, position
             ):
+                # Counted before scoring: a pruned candidate uses up the
+                # budget exactly as a scanned one does.
                 evaluations += 1
-                accepted, cand_makespan, cand_cps = self._evaluate(
+                verdict = self._evaluate(
                     clock, plain, target, position,
                     cp_indices, cp_clocks, makespan,
                 )
-                if accepted:
-                    indexed.insert(target, indexed.pop(position))
+                if verdict is None:
+                    pruned += 1
+                elif verdict[0]:
+                    _, makespan, cand_cps = verdict
                     plain.insert(target, plain.pop(position))
-                    makespan = cand_makespan
                     rewrites += 1
                     self._apply_accept(
                         cp_indices, cp_clocks, cand_cps,
@@ -169,11 +171,13 @@ class GateHoisting(SchedulePass):
                     )
             position += 1
 
+        obs = _obs_active()
+        if obs is not None:
+            obs.metrics.inc(f"passes.{self.name}.evaluations", evaluations)
+            obs.metrics.inc(f"passes.{self.name}.pruned", pruned)
         if not rewrites:
             return schedule, 0
-        hoisted = Schedule(op for _, op in indexed)
-        self._check_dag_order(schedule, indexed)
-        return hoisted, rewrites
+        return Schedule(plain), rewrites
 
     @staticmethod
     def _crosses_move(
@@ -198,15 +202,23 @@ class GateHoisting(SchedulePass):
         cp_indices: list[int],
         cp_clocks: list[tuple],
         makespan: float,
-    ) -> tuple[bool, float, list[tuple[int, tuple]]]:
+    ) -> tuple[bool, float, list[tuple[int, tuple]]] | None:
         """Score hoisting the gate at ``position`` to ``target``.
 
-        Returns (accepted, candidate makespan, candidate snapshots) —
-        the snapshots (taken at the baseline checkpoint indices beyond
-        the window) replace the stale ones when the hoist is accepted.
-        The scan resumes from the checkpoint nearest ``target`` and
-        abandons rejected candidates early, on either of two sound
-        exits checked at every checkpoint boundary:
+        Returns None when the dominance prefilter rejects the candidate
+        without a tail scan: after the window (at ``position + 1``) no
+        trap clock of the candidate is behind the baseline's, and since
+        every clock update (``c + d``, ``max(a, b) + d``) is monotone
+        non-decreasing under IEEE round-to-nearest, the identical
+        remaining ops keep that dominance to the end — the candidate's
+        makespan is at least the current one, a certain rejection.
+
+        Otherwise returns (accepted, candidate makespan, candidate
+        snapshots) — the snapshots (taken at the baseline checkpoint
+        indices beyond the window) replace the stale ones when the
+        hoist is accepted.  The scan abandons rejected candidates
+        early, on either of two sound exits checked at every
+        checkpoint boundary:
 
         * *re-convergence* — the candidate's clock vector equals the
           baseline's, so identical remaining ops yield an identical
@@ -216,22 +228,33 @@ class GateHoisting(SchedulePass):
           running maximum reaches ``makespan - 1e-15`` the final
           makespan cannot dip back below the strict-improvement guard.
 
-        Neither exit can fire for a candidate that would be accepted,
-        so accept/reject decisions (and the accepted makespan floats)
-        are identical to scoring every candidate from scratch.
+        Neither the prefilter nor an exit can fire for a candidate that
+        would be accepted, so accept/reject decisions (and the accepted
+        makespan floats) are identical to scoring every candidate from
+        scratch.
         """
         # Clocks entering the hoist window (exact prefix floats).
         cp_pos = bisect_right(cp_indices, target) - 1
         clock.resume(cp_clocks[cp_pos])
         if cp_indices[cp_pos] < target:
             clock.drive(plain[cp_indices[cp_pos] : target])
-        # The reordered window: the hoisted gate first, then the ops it
-        # bubbled past.  The candidate's op sequence beyond `position`
-        # is unchanged.
+        entry = clock.snapshot()
+        # The baseline's clocks after the window, then the reordered
+        # window from the same entry clocks: the hoisted gate first,
+        # then the ops it bubbled past.  The candidate's op sequence
+        # beyond `position` is unchanged.
+        clock.drive(plain[target : position + 1])
+        baseline = clock.snapshot()
+        clock.resume(entry)
         clock.drive((plain[position],))
         clock.drive(plain[target:position])
 
         clocks = clock.clocks
+        for cand, base in zip(clocks, baseline):
+            if cand < base:
+                break
+        else:
+            return None
         bound = makespan - 1e-15
         cand_cps: list[tuple[int, tuple]] = []
         scan = position + 1
@@ -274,35 +297,3 @@ class GateHoisting(SchedulePass):
             hi = bisect_left(positions, position)
             for k in range(lo, hi):
                 positions[k] += 1
-
-    @staticmethod
-    def _check_dag_order(original: Schedule, indexed: list) -> None:
-        """Assert the hoisted gate order is a topological order of the
-        original circuit's dependency DAG (belt and braces on top of
-        the commutation rules)."""
-        gate_ops = original.gate_ops()
-        if not gate_ops:
-            return
-        num_qubits = (
-            max(q for op in gate_ops for q in op.gate.qubits) + 1
-        )
-        circuit = Circuit(num_qubits, (op.gate for op in gate_ops))
-        dag = DependencyDAG(circuit)
-        # Original gate index per stream position, then the permutation
-        # induced by the hoisted stream order.
-        gate_number: dict[int, int] = {}
-        counter = 0
-        for stream_index, op in enumerate(original.ops):
-            if isinstance(op, GateOp):
-                gate_number[stream_index] = counter
-                counter += 1
-        order = [
-            gate_number[original_index]
-            for original_index, op in indexed
-            if isinstance(op, GateOp)
-        ]
-        if not dag.is_valid_order(order):
-            raise VerificationError(
-                "gate hoisting produced an order violating the "
-                "dependency DAG"
-            )

@@ -138,6 +138,41 @@ class TestTopology:
             assert b in topo.neighbors(a)
 
 
+class TestUniqueShortestPaths:
+    @pytest.mark.parametrize(
+        "topo",
+        [
+            linear_topology(6),
+            TrapTopology(5, [(0, leaf) for leaf in range(1, 5)]),  # star
+            TrapTopology(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]),
+            ring_topology(5),
+        ],
+        ids=["L6", "star", "tree", "ring5"],
+    )
+    def test_unique(self, topo):
+        assert topo.has_unique_shortest_paths()
+
+    @pytest.mark.parametrize(
+        "topo", [ring_topology(6), grid_topology(2, 3)], ids=str
+    )
+    def test_not_unique(self, topo):
+        assert not topo.has_unique_shortest_paths()
+
+    def test_add_edge_resets_the_cached_answer(self):
+        topo = linear_topology(4)
+        assert topo.has_unique_shortest_paths()
+        topo.add_edge(0, 3)  # closes a 4-ring: 0 -> 2 has two routes
+        assert not topo.has_unique_shortest_paths()
+
+    def test_disconnected_topology_does_not_raise(self):
+        assert TrapTopology(4, [(0, 1), (2, 3)]).has_unique_shortest_paths()
+        square_and_island = TrapTopology(
+            5, [(0, 1), (1, 2), (2, 3), (3, 0)]
+        )
+        assert not square_and_island.has_unique_shortest_paths()
+        assert TrapTopology(1, []).has_unique_shortest_paths()
+
+
 class TestMachine:
     def test_l6_preset_matches_paper(self):
         machine = l6_machine()

@@ -278,6 +278,18 @@ class TestTraceCommand:
         # `repro compile` compiles both configs under one observation.
         assert document["metrics"]["counters"]["compile.circuits"] == 2
 
+    def test_optimize_metrics_out_shows_prune_rate(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "metrics.json"
+        assert main(["optimize", "qaoa", "--metrics-out", str(path)]) == 0
+        counters = json.loads(path.read_text())["metrics"]["counters"]
+        evaluations = counters["passes.tighten-gates.evaluations"]
+        pruned = counters["passes.tighten-gates.pruned"]
+        assert 0 < pruned <= evaluations  # prune rate = pruned / evaluations
+        # L6 is linear: reroute proves itself a no-op without a replay.
+        assert counters["passes.reroute.skipped_unique_paths"] == 1
+
     def test_sweep_unknown_pass(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--benchmarks", "random:10:30:1",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.arch import (
     l6_machine,
     linear_topology,
@@ -45,6 +46,21 @@ def small_machine(traps=3, capacity=4, comm=1):
 
 def sched(*ops) -> Schedule:
     return Schedule(ops)
+
+
+def count_engines(monkeypatch) -> list:
+    """Record the source of every splice engine the passes build."""
+    import repro.passes.base as base
+
+    built = []
+    real = base.CheckpointedReplay
+
+    def counting(machine, ops, *args, **kwargs):
+        built.append(ops)
+        return real(machine, ops, *args, **kwargs)
+
+    monkeypatch.setattr(base, "CheckpointedReplay", counting)
+    return built
 
 
 def trip(ion, path, gate_after=None):
@@ -201,6 +217,24 @@ class TestRoundTripElision:
         assert rewrites == 0
         assert out == schedule
 
+    def test_no_candidate_builds_no_engine(self, monkeypatch):
+        built = count_engines(monkeypatch)
+        gate = GateOp(gate=Gate("ms", (0, 1)), trap=1)
+        schedule = sched(
+            *trip(0, [0, 1], gate_after=gate), *trip(0, [1, 0])
+        )
+        out, rewrites = RoundTripElision().run(schedule, self.ctx())
+        assert (out, rewrites) == (schedule, 0)
+        assert built == []
+
+    def test_engine_shares_the_schedule(self, monkeypatch):
+        # Built from the cache-bearing Schedule, not a copy of its ops,
+        # so the columnar compilation is shared with the pass manager.
+        built = count_engines(monkeypatch)
+        schedule = sched(*trip(0, [0, 1]), *trip(0, [1, 0]))
+        RoundTripElision().run(schedule, self.ctx())
+        assert len(built) == 1 and built[0] is schedule
+
     def test_elides_multi_excursion_chain(self):
         # 0 -> 1 -> 2 -> 0 across three excursions, no gates anywhere.
         schedule = sched(
@@ -284,6 +318,31 @@ class TestRouteReselection:
         )
         assert rewrites == 0
         assert out == schedule
+
+    def test_unique_paths_skip_without_replay(self, monkeypatch):
+        built = count_engines(monkeypatch)
+        machine = small_machine(traps=4)
+        chains = {0: [0], 1: [1, 2, 3]}
+        schedule = sched(*trip(0, [0, 1, 2, 3]))
+        ctx = PassContext(machine=machine, initial_chains=chains)
+        with obs.observe() as observation:
+            out, rewrites = RouteReselection().run(schedule, ctx)
+        assert out is schedule and rewrites == 0
+        assert built == []
+        counters = observation.metrics.counters
+        assert counters["passes.reroute.skipped_unique_paths"] == 1
+
+    def test_diverse_paths_are_not_skipped(self):
+        machine = uniform_machine(ring_topology(4), 4, 1)
+        chains = {0: [0], 1: [1, 2, 3], 3: []}
+        schedule = sched(*trip(0, [0, 1, 2]))
+        ctx = PassContext(machine=machine, initial_chains=chains)
+        with obs.observe() as observation:
+            _, rewrites = RouteReselection().run(schedule, ctx)
+        assert rewrites == 1
+        assert "passes.reroute.skipped_unique_paths" not in (
+            observation.metrics.counters
+        )
 
 
 class TestGateHoisting:
