@@ -12,15 +12,14 @@ perf PR should find its target::
     python benchmarks/profile_compile.py --top 40 --sort tottime
     python benchmarks/profile_compile.py --baseline      # [7]'s config
     python benchmarks/profile_compile.py --phase simulate  # profile one phase
-    python benchmarks/profile_compile.py --phase verify --no-vector
     python benchmarks/profile_compile.py --json profile.json
 
 ``--phase`` selects which pipeline stage runs under the profiler
 (``compile`` is the default; ``optimize``/``simulate``/``verify`` run
-the earlier stages unprofiled to build their input), and
-``--no-vector`` pins the scalar replay loop (it sets
-``REPRO_VECTOR_KERNEL=0``) so the vectorized kernel's win — and any
-future erosion of it — is directly inspectable.
+the earlier stages unprofiled to build their input).  Replays take
+the vectorized kernel whenever numpy is importable; the scalar/vector
+A/B lives in ``benchmarks/bench_compile.py``
+(``test_replay_phase_vector_speedup``).
 
 With ``repro`` installed (``pip install -e .``) no ``PYTHONPATH`` is
 needed; an uninstalled source checkout falls back to ``../src``
@@ -139,26 +138,18 @@ def main() -> None:
         "run unprofiled to build its input)",
     )
     parser.add_argument(
-        "--no-vector",
-        action="store_true",
-        help="replay through the scalar loop (sets REPRO_VECTOR_KERNEL=0) "
-        "in the simulate/optimize/verify phases",
-    )
-    parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
         help="also write the top-N rows as JSON (use '-' for stdout)",
     )
     args = parser.parse_args()
-    if args.no_vector:
-        os.environ["REPRO_VECTOR_KERNEL"] = "0"
 
     from repro.bench.suite import paper_suite
     from repro.compiler.compiler import QCCDCompiler
     from repro.compiler.config import CompilerConfig
     from repro.compiler.mapping import greedy_initial_mapping
-    from repro.core.vector import vector_kernel_enabled
+    from repro.core.vector import HAVE_NUMPY
 
     machine = build_machine(args.machine)
     circuits = paper_suite(full=False)
@@ -177,7 +168,6 @@ def main() -> None:
         (circuit, greedy_initial_mapping(circuit, machine))
         for circuit in circuits
     ]
-    use_vector = vector_kernel_enabled()
 
     profile = cProfile.Profile()
     if args.phase == "compile":
@@ -238,7 +228,7 @@ def main() -> None:
             "config": config.name,
             "machine": machine.name,
             "phase": args.phase,
-            "vector_kernel": use_vector,
+            "vector_kernel": HAVE_NUMPY,
             "circuits": [c.name for c in circuits],
             "repeat": args.repeat,
             "sort": args.sort,
@@ -251,7 +241,7 @@ def main() -> None:
         with open(args.json, "w") as handle:
             json.dump(document, handle, indent=2)
         print(f"wrote {args.json}")
-    kernel = "" if use_vector else ", scalar replay"
+    kernel = "" if HAVE_NUMPY else ", scalar replay"
     print(
         f"# {config.name} on {machine.name} — {args.phase} phase{kernel} — "
         f"{label} — top {args.top} by {args.sort}\n"

@@ -13,8 +13,9 @@ across four copies.  Now:
   plus cheap snapshotting (:meth:`MachineState.fork` /
   :meth:`MachineState.checkpoint` / :meth:`MachineState.restore` and the
   :class:`Checkpoint` type),
-* :func:`replay` / :func:`is_applicable` run the one replay loop with
-  pluggable observers,
+* :func:`replay` is the one replay entry point (it picks the
+  vectorized or the scalar kernel itself) with pluggable observers;
+  :func:`replay_into` is the scalar loop on an existing state,
 * :class:`CheckpointedReplay` is the incremental layer: √N-spaced
   checkpoints let any ``(start, end, replacement)`` splice of a
   replayed schedule be re-verified in O(window) — the pass pipeline's
@@ -42,7 +43,6 @@ from .observers import (
 from .replay import (
     CheckpointedReplay,
     SpliceVerdict,
-    is_applicable,
     replay,
     replay_into,
 )
@@ -50,22 +50,18 @@ from .state import NOWHERE, Checkpoint, MachineState
 from .vector import (
     HAVE_NUMPY,
     CompiledStream,
-    batched_replay,
     check_stream,
     compile_stream,
     drain_stream,
-    vector_kernel_enabled,
 )
 
 __all__ = [
     "FIDELITY_FLOOR",
     "HAVE_NUMPY",
     "CompiledStream",
-    "batched_replay",
     "check_stream",
     "compile_stream",
     "drain_stream",
-    "vector_kernel_enabled",
     "Checkpoint",
     "CheckpointedReplay",
     "ClockObserver",
@@ -76,7 +72,6 @@ __all__ = [
     "OccupancyTraceObserver",
     "SpliceVerdict",
     "estimate_makespan",
-    "is_applicable",
     "occupancy_at",
     "replay",
     "replay_into",

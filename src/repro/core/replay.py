@@ -1,10 +1,13 @@
 """Kernel replay: apply a schedule op by op, notifying observers.
 
-This is the one replay loop under the simulator, the schedule
-verifier, and the pass manager's verify-and-revert fast path.  A full
-legality check costs one linear scan; attaching observers folds what
-used to be *additional* full replays (timing, heating/fidelity,
-occupancy tracing) into the same scan.
+:func:`replay` is the one replay entry point under the simulator, the
+schedule verifier, and the pass manager's verify-and-revert fast path.
+A full legality check costs one linear scan; attaching observers folds
+what used to be *additional* full replays (timing, heating/fidelity,
+occupancy tracing) into the same scan.  The replay picks its own
+kernel (:func:`_replay_windows`): the vectorized check-and-drain of
+:mod:`repro.core.vector` when it applies, the scalar loop otherwise —
+verdicts, error strings and observer floats are identical either way.
 
 :class:`CheckpointedReplay` is the incremental layer on top: it
 replays a schedule once, records state checkpoints every K ops
@@ -27,6 +30,13 @@ from ..arch.machine import QCCDMachine
 from ..obs import active as _obs_active
 from .errors import MachineModelError
 from .state import MachineState
+from .vector import (
+    HAVE_NUMPY,
+    check_stream,
+    compile_stream,
+    drain_stream,
+    split_observers,
+)
 
 
 def replay(
@@ -49,7 +59,8 @@ def replay(
     with the machine state on error.
     """
     state = MachineState(machine, initial_chains)
-    replay_into(state, ops, observers)
+    for _ in _replay_windows(state, ops, observers, None):
+        pass
     if require_settled:
         state.require_settled()
     return state
@@ -58,43 +69,88 @@ def replay(
 def replay_into(
     state: MachineState, ops: Iterable, observers: tuple = ()
 ) -> MachineState:
-    """Replay ``ops`` onto an existing state (no strandedness check)."""
+    """Scalar replay of ``ops`` onto an existing state (no strandedness
+    check)."""
+    ops = _as_sequence(ops)
+    _replay_window(state, ops, 0, len(ops), observers)
+    return state
+
+
+def _as_sequence(ops: Iterable) -> Sequence:
+    """``ops`` as an indexable sequence (an iterator is drained once)."""
+    return ops if isinstance(ops, (list, tuple)) else list(ops)
+
+
+def _replay_windows(
+    state: MachineState,
+    source: Iterable,
+    observers: tuple,
+    interval: int | None,
+):
+    """Replay ``source`` onto ``state`` in windows of ``interval`` ops
+    (one window when ``None``), yielding each window's stop index.
+
+    The one place the replay kernel is chosen.  With numpy and only
+    exact :class:`ClockObserver`/:class:`HeatingObserver` observers,
+    the stream is compiled (cached on a :class:`Schedule` source) and
+    proven legal as a whole by :func:`check_stream`; a proven stream
+    is drained window by window.  Anything else — no numpy, other
+    observers, swap-bearing or out-of-model streams, a real violation
+    — runs the scalar loop, which raises the exact ``"op N: ..."``
+    error.
+    """
+    drain = split_observers(observers) if HAVE_NUMPY else None
+    if drain is None:
+        stream = None
+        ops = _as_sequence(source)
+    else:
+        stream = compile_stream(source)
+        ops = stream.ops
+        if not check_stream(state, stream, 0, len(ops)):
+            stream = None
+    n = len(ops)
+    step = interval or max(n, 1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        if stream is None:
+            _replay_window(state, ops, start, stop, observers)
+        else:
+            drain_stream(state, stream, start, stop, *drain)
+        yield stop
+
+
+def _replay_window(
+    state: MachineState,
+    ops: Sequence,
+    start: int,
+    stop: int,
+    observers: tuple,
+) -> None:
+    """The scalar loop: apply + observe ``ops[start:stop]``, raising
+    errors prefixed with the absolute stream position."""
     apply = state.apply
-    position = -1
+    window = enumerate(ops[start:stop], start)
+    position = start - 1
     try:
         if not observers:
-            for position, op in enumerate(ops):
+            for position, op in window:
                 apply(op)
         elif len(observers) == 2:
             # The simulator's clock+heating pair is the common case;
             # unrolling skips an inner loop per op.
             first, second = observers
             first_observe, second_observe = first.observe, second.observe
-            for position, op in enumerate(ops):
+            for position, op in window:
                 apply(op)
                 first_observe(position, op, state)
                 second_observe(position, op, state)
         else:
-            for position, op in enumerate(ops):
+            for position, op in window:
                 apply(op)
                 for observer in observers:
                     observer.observe(position, op, state)
     except MachineModelError as exc:
         raise MachineModelError(f"op {position}: {exc}") from None
-    return state
-
-
-def is_applicable(
-    machine: QCCDMachine,
-    ops: Iterable,
-    initial_chains: dict[int, list[int]],
-) -> bool:
-    """Boolean form of :func:`replay` (the pass accept oracle)."""
-    try:
-        replay(machine, ops, initial_chains)
-    except MachineModelError:
-        return False
-    return True
 
 
 class SpliceVerdict:
@@ -226,22 +282,13 @@ class CheckpointedReplay:
             interval = max(16, isqrt(n))
         self.interval = max(1, interval)
 
-        # The construction replay — the engine's only O(N) scan — runs
-        # on the vectorized kernel when enabled: one whole-stream array
-        # check, then an unchecked drain chunked at checkpoint
-        # boundaries.  Splice scans stay scalar: they are O(window + √N)
-        # by design.  A flagged check (illegal base, unsupported op
-        # shapes) drops to the scalar loop, which raises the exact
-        # "op N:" error.
-        from .vector import (
-            check_stream,
-            compile_stream,
-            drain_stream,
-            split_observers,
-            supports_observers,
-            vector_kernel_enabled,
-        )
-
+        # The construction replay is the engine's only O(N) scan; it
+        # takes whichever kernel replay() would, one checkpoint
+        # interval at a time.  Splice scans stay scalar: they are
+        # O(window + √N) by design.  Compile via the source object
+        # when it carries the compiled-stream cache slot (Schedule
+        # does): the pass pipeline re-verifies the same schedule
+        # repeatedly, and every engine then shares one compilation.
         state = MachineState(machine, initial_chains)
         self._scratch = state.fork()
         self._probe = state.fork()
@@ -249,46 +296,15 @@ class CheckpointedReplay:
         self._cp_data: list[tuple] = [
             (state.checkpoint(), self._observer_snapshots())
         ]
-        use_vector = False
-        if vector_kernel_enabled() and supports_observers(
-            self.observers
+        source = ops if hasattr(ops, "_compiled_stream") else self._ops
+        for stop in _replay_windows(
+            state, source, self.observers, self.interval
         ):
-            # Compile via the source object when it carries the
-            # compiled-stream cache slot (Schedule does): the pass
-            # pipeline re-verifies the same schedule repeatedly, and
-            # every engine then shares one columnar compilation.
-            source = ops if hasattr(ops, "_compiled_stream") else self._ops
-            stream = compile_stream(source)
-            use_vector = check_stream(state, stream, 0, n)
-        if use_vector:
-            clock, heat = split_observers(self.observers)
-            position = 0
-            while position < n:
-                stop = min(position + self.interval, n)
-                drain_stream(state, stream, position, stop, clock, heat)
-                position = stop
-                if position < n:
-                    self._cp_indices.append(position)
-                    self._cp_data.append(
-                        (state.checkpoint(), self._observer_snapshots())
-                    )
-        else:
-            position = -1
-            try:
-                for position, op in enumerate(self._ops):
-                    state.apply(op)
-                    for observer in self.observers:
-                        observer.observe(position, op, state)
-                    if (
-                        (position + 1) % self.interval == 0
-                        and position + 1 < n
-                    ):
-                        self._cp_indices.append(position + 1)
-                        self._cp_data.append(
-                            (state.checkpoint(), self._observer_snapshots())
-                        )
-            except MachineModelError as exc:
-                raise MachineModelError(f"op {position}: {exc}") from None
+            if stop < n:
+                self._cp_indices.append(stop)
+                self._cp_data.append(
+                    (state.checkpoint(), self._observer_snapshots())
+                )
         state.require_settled()
         self._final_chains = state.chains_dict()
 

@@ -193,9 +193,6 @@ class MachineState:
         """Trap id -> chain copy (report/hand-off format)."""
         return {t: list(chain) for t, chain in enumerate(self.chains)}
 
-    # Alias kept for symmetry with the old CompilerState API.
-    snapshot_chains = chains_dict
-
     # ------------------------------------------------------------------
     # Snapshotting (the incremental-verification fast path)
     # ------------------------------------------------------------------

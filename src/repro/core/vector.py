@@ -1,6 +1,6 @@
 """Vectorized replay kernel: batched legality checks + a lean drain.
 
-The scalar replay loop (:func:`repro.core.replay.replay`) pays one
+The scalar replay loop (:func:`repro.core.replay.replay_into`) pays one
 Python dispatch through :meth:`MachineState.apply` per op — after
 PRs 3-5 that dispatch *is* the remaining replay cost.  The obvious
 fix, batching maximal homogeneous op runs, does not survive contact
@@ -38,15 +38,15 @@ The same columns are also the pickled form of a schedule: a
 vocabulary (gate names and params, shuttle reasons), so the worker
 pool and the result cache ship the encoding replay already built.
 
-Everything degrades gracefully without numpy: :func:`batched_replay`
-falls back to the scalar replay, :func:`vector_kernel_enabled`
-reports ``False`` and schedules pickle as plain op objects.
+:func:`repro.core.replay.replay` is the only caller that chooses
+between this kernel and the scalar loop.  Everything degrades
+gracefully without numpy: replays run the scalar loop and schedules
+pickle as plain op objects.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from ..circuits.gate import (
     Gate,
@@ -55,7 +55,6 @@ from ..circuits.gate import (
     gate_signature,
     trusted_gate,
 )
-from .errors import MachineModelError
 from .observers import FIDELITY_FLOOR, ClockObserver, HeatingObserver
 from .ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
 from .state import NOWHERE, MachineState
@@ -78,22 +77,6 @@ STREAM_FORMAT = 2
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-#: Environment switch (default on): set REPRO_VECTOR_KERNEL=0 to force
-#: every consumer back onto the scalar kernel.
-_ENV_FLAG = "REPRO_VECTOR_KERNEL"
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-
-def vector_kernel_enabled() -> bool:
-    """True when replays should take the batched kernel: numpy is
-    importable and the ``REPRO_VECTOR_KERNEL`` environment variable
-    does not disable it.  Read on every call, so a consumer follows
-    the variable without being rebuilt."""
-    return HAVE_NUMPY and (
-        os.environ.get(_ENV_FLAG, "1").lower() not in _FALSE_WORDS
-    )
-
 
 def _fits(value) -> bool:
     """True when ``value`` is an int representable as int64."""
@@ -839,35 +822,11 @@ def drain_stream(
         heat._nbar_count = nbar_count
 
 
-def _scalar_window(
-    state: MachineState,
-    stream: CompiledStream,
-    lo: int,
-    hi: int,
-    observers: tuple = (),
-) -> None:
-    """Scalar fallback: per-op apply + observe over ``[lo, hi)``,
-    raising the exact ``"op N: ..."`` error of a scalar replay."""
-    ops = stream.ops
-    apply = state.apply
-    for index in range(lo, hi):
-        op = ops[index]
-        try:
-            apply(op)
-        except MachineModelError as exc:
-            raise MachineModelError(f"op {index}: {exc}") from None
-        for observer in observers:
-            observer.observe(index, op, state)
-
-
-_UNSUPPORTED = object()
-
-
 def split_observers(observers):
-    """Resolve ``observers`` into the drain's (clock, heat) slots.
+    """Resolve ``observers`` into the drain's ``(clock, heat)`` slots.
 
-    Returns ``(_UNSUPPORTED, None)`` when any observer is not an
-    exact-type ClockObserver/HeatingObserver (subclasses may override
+    Returns ``None`` when any observer is not an exact-type
+    ClockObserver/HeatingObserver (subclasses may override
     accumulation or read state mid-stream: they need the scalar
     per-op loop).
     """
@@ -879,45 +838,5 @@ def split_observers(observers):
         elif type(observer) is HeatingObserver and heat is None:
             heat = observer
         else:
-            return _UNSUPPORTED, None
+            return None
     return clock, heat
-
-
-def supports_observers(observers) -> bool:
-    """True when the drain can drive ``observers`` bit-identically."""
-    return split_observers(observers)[0] is not _UNSUPPORTED
-
-
-def batched_replay(
-    machine,
-    ops,
-    initial_chains: dict[int, list[int]],
-    observers: tuple = (),
-    require_settled: bool = True,
-) -> MachineState:
-    """Vectorized mirror of :func:`repro.core.replay.replay`.
-
-    Same verdicts, same ``"op N:"`` error strings, same observer
-    floats — at batched-check speed.  Falls back to the scalar replay
-    when numpy is unavailable, an observer combination is unsupported,
-    or :func:`check_stream` flags the stream.
-    """
-    if not HAVE_NUMPY:
-        from .replay import replay
-
-        return replay(machine, ops, initial_chains, observers, require_settled)
-    clock, heat = split_observers(observers)
-    if clock is _UNSUPPORTED:
-        from .replay import replay
-
-        return replay(machine, ops, initial_chains, observers, require_settled)
-    stream = compile_stream(ops)
-    state = MachineState(machine, initial_chains)
-    n = len(stream)
-    if check_stream(state, stream, 0, n):
-        drain_stream(state, stream, 0, n, clock, heat)
-    else:
-        _scalar_window(state, stream, 0, n, observers)
-    if require_settled:
-        state.require_settled()
-    return state

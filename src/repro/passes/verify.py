@@ -25,8 +25,7 @@ from collections import Counter
 from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
 from ..core.ops import GateOp
-from ..core.replay import is_applicable, replay
-from ..core.vector import batched_replay, vector_kernel_enabled
+from ..core.replay import replay
 from ..sim.schedule import Schedule
 
 
@@ -54,10 +53,7 @@ def verify_schedule(
     * no ion is left in transit at the end.
     """
     try:
-        if vector_kernel_enabled():
-            state = batched_replay(machine, schedule, initial_chains)
-        else:
-            state = replay(machine, schedule, initial_chains)
+        state = replay(machine, schedule, initial_chains)
     except MachineModelError as exc:
         raise VerificationError(str(exc)) from None
     return state.chains_dict()
@@ -69,13 +65,11 @@ def is_legal(
     initial_chains: dict[int, list[int]],
 ) -> bool:
     """Boolean form of :func:`verify_schedule` (the pass accept oracle)."""
-    if vector_kernel_enabled():
-        try:
-            batched_replay(machine, schedule, initial_chains)
-        except MachineModelError:
-            return False
-        return True
-    return is_applicable(machine, schedule, initial_chains)
+    try:
+        replay(machine, schedule, initial_chains)
+    except MachineModelError:
+        return False
+    return True
 
 
 def gate_multiset(schedule: Schedule) -> Counter:

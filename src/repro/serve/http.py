@@ -79,6 +79,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if retry_after is not None:
                 self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
             self.end_headers()
@@ -91,8 +93,16 @@ class _Handler(BaseHTTPRequestHandler):
         return header.strip() if header else self.client_address[0]
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown: answer, then hang up.
+            self.close_connection = True
+            raise ServeError(
+                "validation", f"malformed Content-Length header {header!r}"
+            )
+        length = int(header)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
             raise ServeError(
                 "validation",
                 f"request body of {length} bytes exceeds the "

@@ -38,9 +38,7 @@ from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
 from ..core.observers import ClockObserver, HeatingObserver
 from ..core.params import DEFAULT_PARAMS, MachineParams
-from ..core.replay import replay_into
-from ..core.state import MachineState
-from ..core.vector import batched_replay, vector_kernel_enabled
+from ..core.replay import replay
 from .schedule import Schedule
 
 
@@ -104,17 +102,7 @@ class Simulator:
         clock = ClockObserver(self.machine.num_traps, self.params.timing)
         heat = HeatingObserver(self.machine.num_traps, self.params)
         try:
-            # The batched numpy kernel when numpy is importable and
-            # REPRO_VECTOR_KERNEL is not 0 (see repro.core.vector);
-            # results are bit-identical either way.
-            if vector_kernel_enabled():
-                batched_replay(
-                    self.machine, schedule, initial_chains, (clock, heat)
-                )
-            else:
-                state = MachineState(self.machine, initial_chains)
-                replay_into(state, schedule, (clock, heat))
-                state.require_settled()
+            replay(self.machine, schedule, initial_chains, (clock, heat))
         except MachineModelError as exc:
             raise SimulationError(str(exc)) from None
 

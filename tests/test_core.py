@@ -13,11 +13,11 @@ from repro.core import (
     MachineState,
     OccupancyTraceObserver,
     estimate_makespan,
-    is_applicable,
     occupancy_at,
     replay,
 )
 from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp, SwapOp
+from repro.passes.verify import is_legal
 from repro.sim import MachineParams, Schedule, Simulator, TimingParams
 
 
@@ -144,10 +144,10 @@ class TestReplay:
         with pytest.raises(MachineModelError, match="in transit"):
             replay(machine(), [SplitOp(ion=0, trap=0)], {0: [0]})
 
-    def test_is_applicable(self):
+    def test_is_legal(self):
         m = machine()
-        assert is_applicable(m, trip(0, [0, 1]), {0: [0]})
-        assert not is_applicable(m, [MoveOp(ion=0, src=0, dst=1)], {0: [0]})
+        assert is_legal(m, trip(0, [0, 1]), {0: [0]})
+        assert not is_legal(m, [MoveOp(ion=0, src=0, dst=1)], {0: [0]})
 
 
 class TestObservers:

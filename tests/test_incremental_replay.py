@@ -20,6 +20,7 @@ checkpoints.
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from repro.core import (
 )
 from repro.core.errors import MachineModelError
 from repro.core.params import DEFAULT_PARAMS
+from repro.core.vector import HAVE_NUMPY
 from repro.passes.base import extract_excursions, rebuild
 
 MACHINES = {
@@ -329,3 +331,84 @@ def test_illegal_base_stream_raises_like_replay():
     with pytest.raises(MachineModelError) as caught:
         CheckpointedReplay(machine, corrupted, chains)
     assert str(caught.value) == expected
+
+
+#: The module, not the re-exported ``repro.core.replay`` function.
+REPLAY_MODULE = importlib.import_module("repro.core.replay")
+
+
+def build_on_kernel(monkeypatch, vector, machine, ops, chains, observers):
+    """A CheckpointedReplay built on the chosen construction kernel."""
+    monkeypatch.setattr(REPLAY_MODULE, "HAVE_NUMPY", vector)
+    return CheckpointedReplay(machine, ops, chains, observers, interval=9)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+@pytest.mark.parametrize("with_observers", [False, True])
+@pytest.mark.parametrize("name", sorted(MACHINES))
+def test_construction_kernels_record_identical_checkpoints(
+    name, with_observers, monkeypatch
+):
+    """The construction loop drains chunk by chunk on the vector kernel
+    and runs the scalar window per chunk otherwise; both must leave the
+    same checkpoints, observer snapshots and final chains behind."""
+    machine = MACHINES[name]()
+    ops, chains = compiled_stream(random.Random(name), machine)
+    drained = []
+    drain = REPLAY_MODULE.drain_stream
+
+    def counting_drain(state, stream, start, stop, clock, heat):
+        drained.append((start, stop))
+        drain(state, stream, start, stop, clock, heat)
+
+    monkeypatch.setattr(REPLAY_MODULE, "drain_stream", counting_drain)
+
+    def observers():
+        if not with_observers:
+            return ()
+        return (
+            ClockObserver(machine.num_traps, DEFAULT_PARAMS.timing),
+            HeatingObserver(machine.num_traps, DEFAULT_PARAMS),
+        )
+
+    scalar = build_on_kernel(
+        monkeypatch, False, machine, ops, chains, observers()
+    )
+    assert drained == []
+    vector = build_on_kernel(
+        monkeypatch, True, machine, ops, chains, observers()
+    )
+    assert len(drained) == -(-len(ops) // 9)
+
+    assert scalar._cp_indices == vector._cp_indices
+    assert scalar._cp_indices == list(range(0, len(ops), 9))
+    for (s_cp, s_snaps), (v_cp, v_snaps) in zip(
+        scalar._cp_data, vector._cp_data, strict=True
+    ):
+        for field in ("chains", "trap_of", "transit", "num_in_transit"):
+            assert getattr(s_cp, field) == getattr(v_cp, field)
+        assert repr(s_snaps) == repr(v_snaps)
+    assert scalar.final_chains == vector.final_chains
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
+@pytest.mark.parametrize("name", sorted(MACHINES))
+def test_construction_kernels_raise_identical_errors(name, monkeypatch):
+    machine = MACHINES[name]()
+    ops, chains = compiled_stream(random.Random(name), machine)
+    corrupted = list(ops)
+    # Drop a split past the first few checkpoints: its ion's later ops
+    # fail mid-stream, after several chunks have already run.
+    del corrupted[next(
+        i for i, op in enumerate(corrupted)
+        if i > 30 and type(op).__name__ == "SplitOp"
+    )]
+    errors = []
+    for vector in (False, True):
+        with pytest.raises(MachineModelError) as caught:
+            build_on_kernel(
+                monkeypatch, vector, machine, corrupted, chains, ()
+            )
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("op ")

@@ -17,7 +17,9 @@ Layered for determinism:
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 from time import monotonic, sleep
 
@@ -616,6 +618,31 @@ class TestHTTP:
             assert response.status == 400
             assert response.error_code == "validation"
             assert "byte limit" in response.body["error"]["message"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
+    def test_malformed_content_length_rejected(self, length):
+        """A Content-Length that is not a decimal byte count is a typed
+        400, never an internal 500, and the connection is closed (the
+        body's extent is unknown).  Sent over a raw socket: HTTP
+        clients refuse to send such a header."""
+        with ServerHandle(FAST_CONFIG) as handle:
+            request = (
+                "POST /v1/jobs HTTP/1.1\r\n"
+                f"Host: 127.0.0.1:{handle.port}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            )
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                sock.sendall(request.encode("ascii"))
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+        assert response.status == 400
+        assert body["error"]["code"] == "validation"
+        assert "Content-Length" in body["error"]["message"]
+        assert response.getheader("Connection") == "close"
 
     def test_rate_limit_keyed_by_identity_header(self):
         config = ServeConfig(

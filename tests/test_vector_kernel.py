@@ -2,8 +2,9 @@
 
 ``repro.core.vector`` replays op streams through a columnar numpy
 kernel: one whole-window legality proof over array predicates, then an
-unchecked drain.  Its contract is *exact* equivalence with the scalar
-kernel (``repro.core.replay``): same accept/reject verdicts, the same
+unchecked drain; :func:`repro.core.replay.replay` takes it whenever it
+applies.  Its contract is *exact* equivalence with the scalar loop
+(``replay_into`` on a fresh state): same accept/reject verdicts, the same
 ``"op N: ..."`` error strings (via the scalar fallback), the same
 final chains, and bit-identical observer floats (the drain accumulates
 in the same order as ``ClockObserver``/``HeatingObserver``).  This
@@ -14,13 +15,15 @@ module pins that contract:
   through both kernels with and without observers,
 * op streams with fields outside the int64 kernel model (and with
   subclassed ops), which must take the scalar path end to end,
-* the golden machine-semantics fixture, reproduced with the kernel
-  switch forced *off* — the recording was made with it on, so the two
-  switch states are pinned to each other through the fixture.
+* the golden machine-semantics fixture, reproduced with numpy hidden
+  from ``repro.core.replay`` — the recording was made with the vector
+  kernel on, so the two kernels are pinned to each other through the
+  fixture.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -35,16 +38,13 @@ from repro.core import (
     ClockObserver,
     HeatingObserver,
     MachineModelError,
-    batched_replay,
+    MachineState,
     replay,
+    replay_into,
 )
 from repro.core.ops import GateOp, MergeOp, MoveOp, SplitOp
 from repro.core.params import MachineParams
-from repro.core.vector import (
-    HAVE_NUMPY,
-    compile_stream,
-    vector_kernel_enabled,
-)
+from repro.core.vector import HAVE_NUMPY, compile_stream
 from repro.sim.schedule import Schedule
 
 pytestmark = pytest.mark.skipif(
@@ -52,6 +52,13 @@ pytestmark = pytest.mark.skipif(
 )
 
 PARAMS = MachineParams()
+
+
+def scalar_replay(machine, ops, chains, observers=()):
+    """The scalar loop alone: the reference ``replay`` must match."""
+    state = replay_into(MachineState(machine, chains), ops, observers)
+    state.require_settled()
+    return state
 
 
 def _observers(machine):
@@ -124,10 +131,10 @@ def test_vector_matches_scalar_on_random_schedules(
 
     for ops in streams:
         for with_observers in (False, True):
-            scalar = _outcome(replay, machine, ops, chains, with_observers)
-            vector = _outcome(
-                batched_replay, machine, ops, chains, with_observers
+            scalar = _outcome(
+                scalar_replay, machine, ops, chains, with_observers
             )
+            vector = _outcome(replay, machine, ops, chains, with_observers)
             assert scalar == vector
 
 
@@ -143,10 +150,10 @@ def test_chain_order_streams_take_scalar_path():
     ops = list(result.schedule.ops)
     if result.schedule.num_swaps:
         assert compile_stream(ops).needs_scalar
-    scalar = _outcome(replay, machine, ops, result.initial_chains, True)
-    vector = _outcome(
-        batched_replay, machine, ops, result.initial_chains, True
+    scalar = _outcome(
+        scalar_replay, machine, ops, result.initial_chains, True
     )
+    vector = _outcome(replay, machine, ops, result.initial_chains, True)
     assert scalar == vector
 
 
@@ -166,8 +173,8 @@ def test_out_of_model_int_fields_fall_back_to_scalar():
         ops = list(legal)
         ops[at] = MoveOp(huge, move.src, move.dst, move.reason)
         assert compile_stream(ops).needs_scalar
-        scalar = _outcome(replay, machine, ops, chains, True)
-        vector = _outcome(batched_replay, machine, ops, chains, True)
+        scalar = _outcome(scalar_replay, machine, ops, chains, True)
+        vector = _outcome(replay, machine, ops, chains, True)
         assert scalar == vector
         assert scalar[0] == "error"
         assert scalar[1].startswith(f"op {at}:")
@@ -178,8 +185,8 @@ def test_out_of_model_int_fields_fall_back_to_scalar():
     ops = list(legal)
     ops[at] = MoveOp(2**63 - 1, move.src, move.dst, move.reason)
     assert not compile_stream(ops).needs_scalar
-    scalar = _outcome(replay, machine, ops, chains, True)
-    vector = _outcome(batched_replay, machine, ops, chains, True)
+    scalar = _outcome(scalar_replay, machine, ops, chains, True)
+    vector = _outcome(replay, machine, ops, chains, True)
     assert scalar == vector
     assert scalar[0] == "error"
 
@@ -200,21 +207,11 @@ def test_subclassed_ops_fall_back_to_scalar():
         move.ion, move.src, move.dst, move.reason
     )
     assert compile_stream(ops).needs_scalar
-    scalar = _outcome(replay, machine, ops, result.initial_chains, True)
-    vector = _outcome(
-        batched_replay, machine, ops, result.initial_chains, True
+    scalar = _outcome(
+        scalar_replay, machine, ops, result.initial_chains, True
     )
+    vector = _outcome(replay, machine, ops, result.initial_chains, True)
     assert scalar == vector
-
-
-def test_env_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_KERNEL", raising=False)
-    assert vector_kernel_enabled() is HAVE_NUMPY
-    for word in ("0", "false", "off", "no"):
-        monkeypatch.setenv("REPRO_VECTOR_KERNEL", word)
-        assert vector_kernel_enabled() is False
-    monkeypatch.setenv("REPRO_VECTOR_KERNEL", "1")
-    assert vector_kernel_enabled() is HAVE_NUMPY
 
 
 GOLDEN_PATH = os.path.join(
@@ -224,14 +221,16 @@ GOLDEN_PATH = os.path.join(
 )
 
 #: Two suite members exercise every golden field without re-running the
-#: whole fixture twice (test_golden_semantics already covers switch-on).
+#: whole fixture twice (test_golden_semantics already covers the vector
+#: kernel).
 GOLDEN_SPOT_CHECKS = ("QFT", "Supremacy")
 
 
 @pytest.mark.parametrize("name", GOLDEN_SPOT_CHECKS)
 def test_golden_semantics_with_kernel_off(name, monkeypatch):
-    """The golden fixture is reproduced with the vector kernel forced
-    off: both switch states pin to the same recorded behavior."""
+    """The golden fixture is reproduced on the scalar loop (numpy
+    hidden from the kernel choice): both kernels pin to the same
+    recorded behavior."""
     from repro.arch.presets import l6_machine
     from repro.bench.suite import paper_suite
 
@@ -242,7 +241,11 @@ def test_golden_semantics_with_kernel_off(name, monkeypatch):
     )
     circuit = next(c for c in paper_suite(full=False) if c.name == name)
 
-    monkeypatch.setenv("REPRO_VECTOR_KERNEL", "0")
+    # The attribute repro.core.replay is the re-exported function, so
+    # the module is looked up by name rather than by dotted path.
+    monkeypatch.setattr(
+        importlib.import_module("repro.core.replay"), "HAVE_NUMPY", False
+    )
     actual = circuit_case(circuit, l6_machine())
     for key in expected:
         assert actual[key] == expected[key], (
