@@ -3,17 +3,22 @@
 Times the four phases on the paper suite (reduced random ensemble,
 L6 machine) and writes ``benchmarks/baselines/BENCH_compile_baseline.json``
 (committed — the regression reference ``bench_compile.py`` gates
-against).  When an earlier baseline exists, its phase totals are
-carried into the new recording under ``"previous"`` (with its label),
-so the benchmark can keep reporting the speedup that justified the
-re-baseline — e.g. the future-gate-index engine's compile win is
-pinned against the tail-rescanning recording it retired.  Each row
-also records a process-independent content fingerprint of the raw
-compiled schedule (:mod:`repro.batch.fingerprint`), so the benchmark
-can assert that a performance change left the compiler's *output*
-byte-identical, not just fast.  Re-run this script only to re-baseline
-deliberately (new hardware, or a performance change whose win should
-become the new floor)::
+against).  A fixed pure-Python reference loop (perfbench's
+``harness.reference_seconds``, code no ``repro`` change can touch) is
+timed before every circuit and after the last; its mean is recorded
+as ``reference_seconds``, so the benchmark can state a later run's
+times at the recording's host speed, whatever the host does now.
+When an earlier baseline exists, its phase totals are carried into the
+new recording under ``"previous"`` (with its label), and its
+``"pre_index"`` block — the totals of the tail-rescanning compiler the
+future-gate index retired, which the compile speedup gate is set
+against — is carried over verbatim.  Each row also records a
+process-independent content fingerprint of the raw compiled schedule
+(:mod:`repro.batch.fingerprint`), so the benchmark can assert that a
+performance change left the compiler's *output* byte-identical, not
+just fast.  Re-run this script only to re-baseline deliberately (new
+hardware, or a performance change whose win should become the new
+floor)::
 
     PYTHONPATH=src python benchmarks/record_compile_baseline.py [label]
 """
@@ -26,6 +31,9 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+
+from harness import reference_seconds  # noqa: E402
 
 BASELINE_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "baselines"
@@ -36,8 +44,14 @@ BASELINE_PATH = os.path.join(BASELINE_DIR, "BENCH_compile_baseline.json")
 #: wall-clock microbenchmarks — the minimum is the least noisy statistic).
 REPEATS = 3
 
+#: Reference-loop samples per probe (their median is one probe).
+REFERENCE_SAMPLES = 3
 
-def time_suite() -> dict:
+
+def time_suite(machine=None) -> dict:
+    """Phase totals and per-circuit rows on ``machine`` (default L6),
+    plus ``reference_seconds``: the mean of the reference-loop probes
+    taken before every circuit and after the last."""
     from repro.arch.presets import l6_machine
     from repro.batch.fingerprint import fingerprint
     from repro.bench.suite import paper_suite
@@ -48,12 +62,14 @@ def time_suite() -> dict:
     from repro.passes.verify import verify_schedule
     from repro.sim.simulator import Simulator
 
-    machine = l6_machine()
+    machine = machine if machine is not None else l6_machine()
     simulator = Simulator(machine)
     compiler = QCCDCompiler(machine, CompilerConfig.optimized())
     rows = []
+    references = []
 
     for circuit in paper_suite(full=False):
+        references.append(reference_seconds(REFERENCE_SAMPLES))
         chains = greedy_initial_mapping(circuit, machine)
 
         compile_s = min(
@@ -110,9 +126,11 @@ def time_suite() -> dict:
             flush=True,
         )
 
+    references.append(reference_seconds(REFERENCE_SAMPLES))
     return {
         "machine": machine.name,
         "repeats": REPEATS,
+        "reference_seconds": round(sum(references) / len(references), 5),
         "total_compile_seconds": round(
             sum(r["compile_seconds"] for r in rows), 4
         ),
@@ -148,6 +166,10 @@ def main() -> None:
         for key, value in superseded.items():
             if key.startswith("total_") and key.endswith("_seconds"):
                 summary["previous"][key] = value
+        if "reference_seconds" in superseded:
+            summary["previous"]["reference_seconds"] = superseded["reference_seconds"]
+        if "pre_index" in superseded:
+            summary["pre_index"] = superseded["pre_index"]
     os.makedirs(BASELINE_DIR, exist_ok=True)
     with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)

@@ -127,6 +127,19 @@ class TrapTopology:
             raise TopologyError(f"traps {a} and {b} are disconnected")
         return d
 
+    def next_hop_table(self) -> list[list[int]]:
+        """The BFS next-hop table: ``table[a][b]`` is the trap after
+        ``a`` on :meth:`shortest_path` from ``a`` to ``b`` (``a`` itself
+        when ``a == b``, ``-1`` when they are disconnected).
+
+        The router walks a route hop by hop through this table instead
+        of building a path list per hop.  The table is the topology's
+        own: read it, never write it.
+        """
+        self._ensure_paths()
+        assert self._next_hop is not None
+        return self._next_hop
+
     def shortest_path(self, a: int, b: int) -> list[int]:
         """Trap sequence from ``a`` to ``b`` inclusive (BFS, deterministic)."""
         self._ensure_paths()

@@ -42,6 +42,12 @@ class Circuit:
         #: repro.batch.fingerprint.circuit_json; reset by ``append``
         #: and left out of the pickle state.
         self._gates_json: str | None = None
+        #: The compiler's per-circuit plan (dependency DAG, its
+        #: topological order, the future-gate index's static arrays),
+        #: memoized by repro.compiler.compiler on first compile; reset
+        #: by ``append`` and left out of the pickle state, like
+        #: ``_gates_json``.
+        self._compile_plan = None
         for gate in gates:
             self.append(gate)
 
@@ -59,6 +65,7 @@ class Circuit:
             )
         self._gates.append(gate)
         self._gates_json = None
+        self._compile_plan = None
         return self
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
@@ -84,10 +91,12 @@ class Circuit:
     # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Everything but the fingerprint memo: a circuit crossing to a
-        worker must not carry its (large) canonical text along."""
+        """Everything but the memos: a circuit crossing to a worker
+        must not carry its (large) canonical text or compile plan
+        along."""
         state = self.__dict__.copy()
         del state["_gates_json"]
+        del state["_compile_plan"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -96,6 +105,7 @@ class Circuit:
         # clone must not share its gate list with the original.
         self._gates = list(self._gates)
         self._gates_json = None
+        self._compile_plan = None
 
     # ------------------------------------------------------------------
     # Access

@@ -85,6 +85,15 @@ class QCCDCompiler:
         #: profiling read its memo/scan counters).  None before the
         #: first compile.
         self._last_future_index: FutureGateIndex | None = None
+        #: The favoured direction feeds only Algorithm 1, the cheap
+        #: eviction and the trace.  With the first two off, a policy
+        #: with no scores to memoize (the [7] baseline, whose favoured
+        #: direction *is* its decision) need not be asked for it.
+        self._skip_favoured = not (
+            self.config.reorder
+            or self.config.cheap_evict
+            or hasattr(self._policy, "move_scores")
+        )
 
     def _score_margin(self, gate, state, upcoming, active_layer) -> int:
         """Margin between the two move scores of the active gate.
@@ -167,27 +176,19 @@ class QCCDCompiler:
         obs,
     ) -> CompilationResult:
         start_time = time.perf_counter()
-        for gate in circuit:
-            if gate.num_qubits > 2:
-                raise CompilationError(
-                    f"gate {gate} has {gate.num_qubits} qubits; decompose "
-                    "to one- and two-qubit gates first "
-                    "(repro.circuits.decompose_circuit)"
-                )
-
-        dag = DependencyDAG(circuit)
+        future = _compile_plan(circuit).fork()
+        dag = future.dag
+        pending = future.pending
         if initial_chains is None:
             initial_chains = greedy_initial_mapping(circuit, self.machine)
         state = CompilerState(self.machine, initial_chains)
         schedule = Schedule()
 
-        pending: list[int] = dag.topological_order()
         gate_order: list[int] = []
         reorder_attempts: dict[int, int] = defaultdict(int)
         num_reorders = 0
         pos = 0
 
-        future = FutureGateIndex(dag, pending, circuit.num_qubits)
         self._last_future_index = future
         if obs is not None:
             obs.spans.add("setup", time.perf_counter() - start_time)
@@ -211,25 +212,43 @@ class QCCDCompiler:
             else nullcontext()
         )
         perf = time.perf_counter
+        emit = schedule.append
+        gate_at = dag.gate
+        skip_favoured = self._skip_favoured
+        # Placements are read straight off the state's ion -> trap
+        # list.  Gate qubits are never negative, so an IndexError or a
+        # negative entry is exactly where ``trap_of`` raises, and the
+        # fallbacks below ask it to raise there.
+        lookup = state._lookup
         with loop_span:
             while pos < len(pending):
                 index = pending[pos]
-                gate = dag.gate(index)
+                gate = gate_at(index)
+                qubits = gate.qubits
+                ion_a = qubits[0]
+                try:
+                    trap_a = lookup[ion_a]
+                except IndexError:
+                    trap_a = -1
 
-                if gate.is_one_qubit:
-                    schedule.append(
-                        GateOp(gate=gate, trap=state.trap_of(gate.qubits[0]))
-                    )
+                if len(qubits) == 1:
+                    if trap_a < 0:
+                        trap_a = state.trap_of(ion_a)
+                    emit(GateOp(gate=gate, trap=trap_a))
                     gate_order.append(index)
                     future.mark_executed(index, False)
                     pos += 1
                     continue
 
-                ion_a, ion_b = gate.qubits
-                if state.co_located(ion_a, ion_b):
-                    schedule.append(
-                        GateOp(gate=gate, trap=state.trap_of(ion_a))
-                    )
+                ion_b = qubits[1]
+                try:
+                    trap_b = lookup[ion_b]
+                except IndexError:
+                    trap_b = -1
+                if trap_a < 0 or trap_b < 0:
+                    state.co_located(ion_a, ion_b)  # raises
+                if trap_a == trap_b:
+                    emit(GateOp(gate=gate, trap=trap_a))
                     gate_order.append(index)
                     future.mark_executed(index, True)
                     pos += 1
@@ -237,20 +256,23 @@ class QCCDCompiler:
 
                 pinned = frozenset((ion_a, ion_b))
                 future.num_decision_points += 1
-                if obs is not None:
-                    t_decide = perf()
-                favoured = self._policy.favoured(
-                    gate, state, decision_window(), dag.layer_of(index)
-                )
-                if obs is not None:
-                    obs.spans.add("decide", perf() - t_decide)
-                    if obs.trace is not None:
-                        self._trace_consideration(
-                            obs, gate, state, decision_window(),
-                            dag.layer_of(index), pos, favoured,
-                        )
+                if obs is None and skip_favoured:
+                    favoured = None
+                else:
+                    if obs is not None:
+                        t_decide = perf()
+                    favoured = self._policy.favoured(
+                        gate, state, decision_window(), dag.layer_of(index)
+                    )
+                    if obs is not None:
+                        obs.spans.add("decide", perf() - t_decide)
+                        if obs.trace is not None:
+                            self._trace_consideration(
+                                obs, gate, state, decision_window(),
+                                dag.layer_of(index), pos, favoured,
+                            )
 
-                if state.is_full(favoured.dst):
+                if favoured is not None and state.is_full(favoured.dst):
                     # Favourable direction not achievable (Section
                     # III-B): try Algorithm 1 before settling for
                     # another direction.
@@ -346,7 +368,7 @@ class QCCDCompiler:
                 router.route(
                     decision.ion, decision.dst, ShuttleReason.GATE, pinned
                 )
-                schedule.append(GateOp(gate=gate, trap=decision.dst))
+                emit(GateOp(gate=gate, trap=decision.dst))
                 gate_order.append(index)
                 future.mark_executed(index, True)
                 pos += 1
@@ -409,6 +431,33 @@ class QCCDCompiler:
             raw_num_shuttles=raw_num_shuttles,
             raw_num_ops=raw_num_ops,
         )
+
+
+def _compile_plan(circuit: Circuit) -> FutureGateIndex:
+    """The circuit's unadvanced future-gate index, which holds its
+    dependency DAG and topological order too.
+
+    Built on the circuit's first compile and memoized on it
+    (``Circuit._compile_plan``, reset by ``append``), so the paired
+    baseline and this-work compiles of one circuit build it once.
+    Each compile works on a :meth:`~FutureGateIndex.fork`, never on the
+    memo itself.
+    """
+    plan = getattr(circuit, "_compile_plan", None)
+    if plan is None:
+        for gate in circuit:
+            if gate.num_qubits > 2:
+                raise CompilationError(
+                    f"gate {gate} has {gate.num_qubits} qubits; decompose "
+                    "to one- and two-qubit gates first "
+                    "(repro.circuits.decompose_circuit)"
+                )
+        dag = DependencyDAG(circuit)
+        plan = FutureGateIndex(
+            dag, dag.topological_order(), circuit.num_qubits
+        )
+        circuit._compile_plan = plan
+    return plan
 
 
 def _gate_label(gate) -> str:

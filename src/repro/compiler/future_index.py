@@ -194,6 +194,42 @@ class FutureGateIndex:
                 self._ion_partners[q1].append(q0)
                 rank += 1
 
+    def fork(self) -> "FutureGateIndex":
+        """A fresh, unadvanced index over a private copy of this one's
+        pending list.
+
+        The DAG, ``node_layer`` and the per-ion gate lists are shared:
+        nothing ever writes them (a splice patches only keys and ranks,
+        see :meth:`splice`).  Everything a compile mutates is copied
+        (``order_key``, ``rank2q``) or new (the pending list, cursors,
+        ``executed``, the score memo and counters).  So one unadvanced
+        index, built once per circuit, serves every compile of it; call
+        this on an index nothing has advanced or spliced.
+        """
+        fork = FutureGateIndex.__new__(FutureGateIndex)
+        fork.dag = self.dag
+        fork._pending = list(self._pending)
+        fork.order_key = list(self.order_key)
+        fork.rank2q = list(self.rank2q)
+        fork.node_layer = self.node_layer
+        fork.executed = bytearray(len(self.executed))
+        fork.executed_2q = 0
+        fork.score_memo = {}
+        fork.memo_epoch = -1
+        fork.num_score_passes = 0
+        fork.num_memo_hits = 0
+        fork.num_decision_points = 0
+        fork._ion_nodes = self._ion_nodes
+        fork._ion_partners = self._ion_partners
+        fork._ion_cursor = [0] * len(self._ion_cursor)
+        return fork
+
+    @property
+    def pending(self) -> list[int]:
+        """The pending list this index tracks (the live list, which its
+        owner mutates alongside :meth:`splice`)."""
+        return self._pending
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------

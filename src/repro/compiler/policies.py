@@ -74,8 +74,10 @@ def excess_capacity_decision(
     """
     trap0 = state.trap_of(ion_a)
     trap1 = state.trap_of(ion_b)
-    ec0 = state.excess_capacity(trap0)
-    ec1 = state.excess_capacity(trap1)
+    capacities = state._capacities
+    chains = state.chains
+    ec0 = capacities[trap0] - len(chains[trap0])
+    ec1 = capacities[trap1] - len(chains[trap1])
     if ec0 < ec1:
         return ShuttleDecision(ion=ion_a, src=trap0, dst=trap1)
     if ec0 == ec1:
@@ -287,6 +289,11 @@ class FutureOpsPolicy:
 
         trap_a = state.trap_of(ion_a)
         trap_b = state.trap_of(ion_b)
+        # Partner placements are read straight off the state's ion ->
+        # trap list: partners are circuit qubits (never negative), so
+        # an IndexError or a negative entry is exactly where trap_of
+        # would raise, and it is asked to raise there.
+        lookup = state._lookup
         score_ab = 0.0
         score_ba = 0.0
         proximity = self.proximity
@@ -354,14 +361,26 @@ class FutureOpsPolicy:
             if use_decay and active_layer is not None:
                 weight = self.score_decay ** max(0, layer - active_layer)
             if a_in:
-                partner_trap = state.trap_of(partners_a[ia])
+                partner = partners_a[ia]
+                try:
+                    partner_trap = lookup[partner]
+                except IndexError:
+                    partner_trap = -1
+                if partner_trap < 0:
+                    state.trap_of(partner)  # raises CompilationError
                 if partner_trap == trap_b:
                     score_ab += weight
                 if partner_trap == trap_a:
                     score_ba += weight
                 ia += 1
             if b_in:
-                partner_trap = state.trap_of(partners_b[ib])
+                partner = partners_b[ib]
+                try:
+                    partner_trap = lookup[partner]
+                except IndexError:
+                    partner_trap = -1
+                if partner_trap < 0:
+                    state.trap_of(partner)  # raises CompilationError
                 if partner_trap == trap_b:
                     score_ab += weight
                 if partner_trap == trap_a:

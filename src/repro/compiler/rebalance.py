@@ -195,6 +195,10 @@ def _window_counts_indexed(
     exclude = view.exclude
     exclude_key = order_key[exclude] if exclude is not None else None
     rank_limit = view.rank_start + window
+    # Direct reads of the ion -> trap list.  Where trap_of would raise
+    # (too short a list, or a negative entry: the partner is in
+    # transit) the partner counts for neither trap, as before.
+    lookup = state._lookup
     dest_count: dict[int, int] = {}
     source_count: dict[int, int] = {}
     for ion in eligible:
@@ -211,8 +215,8 @@ def _window_counts_indexed(
             if rank >= rank_limit:
                 break
             try:
-                partner_trap = state.trap_of(partners[j])
-            except CompilationError:
+                partner_trap = lookup[partners[j]]
+            except IndexError:
                 continue
             if partner_trap == destination_trap:
                 dest += 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from time import perf_counter
 
+from ..arch.topology import TopologyError
 from ..circuits.gate import Gate
 from ..core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
 from ..obs import active as _obs_active
@@ -58,6 +59,13 @@ class Router:
         self.config = config
         self.upcoming_factory = upcoming_factory
         self.num_rebalances = 0
+        #: Interned shuttle ops, one ``(splits, moves, merges)`` triple
+        #: of dicts per reason, keyed by the ops' int fields.  Ops are
+        #: immutable and compare by value, so one object per distinct
+        #: op serves every emission of it in this compile.  Reasons
+        #: are matched by identity (see :meth:`_op_tables`), so the
+        #: enum's Python-level ``__hash__`` is never called.
+        self._interned: list[tuple[ShuttleReason, tuple[dict, dict, dict]]] = []
 
     def route(
         self,
@@ -88,7 +96,8 @@ class Router:
         pinned: frozenset[int],
         _depth: int = 0,
     ) -> int:
-        src = self.state.trap_of(ion)
+        state = self.state
+        src = state.trap_of(ion)
         if src == dst:
             return 0
         if _depth > _MAX_RESOLVE_DEPTH:
@@ -96,24 +105,36 @@ class Router:
                 "traffic-block resolution exceeded depth bound "
                 f"(routing ion {ion} to trap {dst})"
             )
-        topology = self.state.machine.topology
-        moves_before = self.schedule.num_shuttles
-
-        first_hop = topology.shortest_path(src, dst)[1]
+        next_hop = state.machine.topology.next_hop_table()
+        first_hop = next_hop[src][dst]
+        if first_hop < 0:
+            raise TopologyError(f"traps {src} and {dst} are disconnected")
+        splits, moves, merges = self._op_tables(reason)
+        emit = self.schedule.append
         if self.config.track_chain_order:
             self._reposition_to_exit(ion, src, first_hop, reason)
-        self.schedule.append(SplitOp(ion=ion, trap=src, reason=reason))
-        self.state.detach_ion(ion)
+        key = (ion, src)
+        op = splits.get(key)
+        if op is None:
+            op = splits[key] = SplitOp(ion=ion, trap=src, reason=reason)
+        emit(op)
+        state.detach_ion(ion)
 
+        num_moves = 0
         current = src
         previous = src
         while current != dst:
-            next_trap = topology.shortest_path(current, dst)[1]
-            if self.state.is_full(next_trap):
-                self._resolve_block(next_trap, pinned, _depth)
-            self.schedule.append(
-                MoveOp(ion=ion, src=current, dst=next_trap, reason=reason)
-            )
+            next_trap = next_hop[current][dst]
+            if state.is_full(next_trap):
+                num_moves += self._resolve_block(next_trap, pinned, _depth)
+            key = (ion, current, next_trap)
+            op = moves.get(key)
+            if op is None:
+                op = moves[key] = MoveOp(
+                    ion=ion, src=current, dst=next_trap, reason=reason
+                )
+            emit(op)
+            num_moves += 1
             previous = current
             current = next_trap
 
@@ -121,11 +142,24 @@ class Router:
         if self.config.track_chain_order:
             # Entering from the lower-id edge lands at the chain head.
             position = 0 if previous < dst else None
-        self.schedule.append(
-            MergeOp(ion=ion, trap=dst, reason=reason, position=position)
-        )
-        self.state.attach_ion(ion, dst, position=position)
-        return self.schedule.num_shuttles - moves_before
+        key = (ion, dst, position)
+        op = merges.get(key)
+        if op is None:
+            op = merges[key] = MergeOp(
+                ion=ion, trap=dst, reason=reason, position=position
+            )
+        emit(op)
+        state.attach_ion(ion, dst, position=position)
+        return num_moves
+
+    def _op_tables(self, reason: ShuttleReason) -> tuple[dict, dict, dict]:
+        """The ``(splits, moves, merges)`` intern tables of ``reason``."""
+        for known, tables in self._interned:
+            if known is reason:
+                return tables
+        tables = ({}, {}, {})
+        self._interned.append((reason, tables))
+        return tables
 
     def _reposition_to_exit(
         self, ion: int, trap: int, next_trap: int, reason: ShuttleReason
@@ -205,8 +239,9 @@ class Router:
         pinned: frozenset[int],
         depth: int,
         kind: str = "traffic-block",
-    ) -> None:
-        """Evict one ion from ``full_trap`` so traffic can pass (Fig. 7)."""
+    ) -> int:
+        """Evict one ion from ``full_trap`` so traffic can pass (Fig. 7);
+        returns the MoveOps the eviction emitted."""
         obs = _obs_active()
         if obs is not None:
             t_select = perf_counter()
@@ -224,7 +259,7 @@ class Router:
             obs.spans.add("rebalance", perf_counter() - t_select)
         self.num_rebalances += 1
         self._observe_eviction(obs, full_trap, ion, destination, kind)
-        self.route(
+        return self.route(
             ion,
             destination,
             ShuttleReason.REBALANCE,

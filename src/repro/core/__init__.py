@@ -40,7 +40,7 @@ from .observers import (
     estimate_makespan,
     occupancy_at,
 )
-from .replay import (
+from .replaying import (
     CheckpointedReplay,
     SpliceVerdict,
     replay,

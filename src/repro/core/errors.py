@@ -10,7 +10,7 @@ rejected a program can catch the single base class:
 * :class:`~repro.passes.verify.VerificationError`
 
 all subclass it.  The kernel itself (:mod:`repro.core.state`,
-:mod:`repro.core.replay`) raises plain :class:`MachineModelError`; the
+:mod:`repro.core.replaying`) raises plain :class:`MachineModelError`; the
 layer wrappers re-raise under their own subclass with the kernel's
 message preserved.
 """

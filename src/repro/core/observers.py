@@ -1,6 +1,6 @@
 """Pluggable replay observers: timing, heating/fidelity, occupancy.
 
-The kernel replay (:func:`repro.core.replay.replay`) applies legality
+The kernel replay (:func:`repro.core.replaying.replay`) applies legality
 rules only; everything else the layers derive from a schedule — trap
 clocks and makespan, chain heating and gate fidelities, occupancy
 timelines — is accumulated by observers notified after every applied

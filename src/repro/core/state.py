@@ -45,7 +45,7 @@ class Checkpoint:
     reference.  A checkpoint can be restored into any state over the
     same machine any number of times (:meth:`MachineState.restore`
     copies, never aliases), which is what the incremental verification
-    engine (:class:`~repro.core.replay.CheckpointedReplay`) relies on.
+    engine (:class:`~repro.core.replaying.CheckpointedReplay`) relies on.
     """
 
     __slots__ = ("chains", "trap_of", "transit", "num_in_transit")

@@ -1,6 +1,6 @@
 """Vectorized replay kernel: batched legality checks + a lean drain.
 
-The scalar replay loop (:func:`repro.core.replay.replay_into`) pays one
+The scalar replay loop (:func:`repro.core.replaying.replay_into`) pays one
 Python dispatch through :meth:`MachineState.apply` per op — after
 PRs 3-5 that dispatch *is* the remaining replay cost.  The obvious
 fix, batching maximal homogeneous op runs, does not survive contact
@@ -38,7 +38,7 @@ The same columns are also the pickled form of a schedule: a
 vocabulary (gate names and params, shuttle reasons), so the worker
 pool and the result cache ship the encoding replay already built.
 
-:func:`repro.core.replay.replay` is the only caller that chooses
+:func:`repro.core.replaying.replay` is the only caller that chooses
 between this kernel and the scalar loop.  Everything degrades
 gracefully without numpy: replays run the scalar loop and schedules
 pickle as plain op objects.
@@ -139,7 +139,9 @@ class CompiledStream:
         self.b_l = b
         self.c_l = c
         self.d_l = d
-        self.kind = np.array(kind, dtype=np.uint8)
+        # Kind codes are bytes: bytearray packs them far faster than a
+        # per-item uint8 conversion, and the array shares its memory.
+        self.kind = np.frombuffer(bytearray(kind), dtype=np.uint8)
         self.a = np.array(a, dtype=np.int64)
         self.b = np.array(b, dtype=np.int64)
         self.c = np.array(c, dtype=np.int64)
@@ -319,69 +321,121 @@ def _decode_gates(state: dict, qubit0, qubit1) -> list:
 
 def compile_stream(source) -> "CompiledStream":
     """Compile a :class:`~repro.sim.schedule.Schedule` (or op sequence)
-    into a :class:`CompiledStream`, caching on the schedule object."""
-    cached = getattr(source, "_compiled_stream", None)
-    if cached is not None:
-        return cached
+    into a :class:`CompiledStream`, caching on the schedule object.
+
+    One lean loop copies every op's fields into the columns unchecked;
+    :func:`_checked_stream` then applies the column rule in bulk (see
+    there).  The result is the same as checking each field as it is
+    copied.
+    """
     ops = getattr(source, "_ops", None)
     if ops is None:
         ops = list(source)
+    else:
+        # A schedule only grows: a cached stream of its length is its.
+        cached = getattr(source, "_compiled_stream", None)
+        if cached is not None and len(cached) == len(ops):
+            return cached
     n = len(ops)
     kind = [K_OTHER] * n
     col_a = [0] * n
     col_b = [0] * n
     col_c = [0] * n
     col_d = [False] * n
+    positioned: list[int] = []  # merges with an explicit position
     for i, op in enumerate(ops):
         cls = type(op)
         if cls is GateOp:
             qubits = op.gate.qubits
             nq = len(qubits)
-            trap = op.trap
-            if nq == 1:
-                q0 = qubits[0]
-                if _fits(trap) and _fits(q0):
-                    kind[i] = K_GATE
-                    col_a[i], col_b[i], col_c[i] = trap, q0, -1
-            elif nq == 2:
-                q0, q1 = qubits
-                if _fits(trap) and _fits(q0) and _fits(q1):
-                    kind[i] = K_GATE
-                    col_a[i], col_b[i], col_c[i] = trap, q0, q1
-                    col_d[i] = True
+            if nq == 2:
+                kind[i] = K_GATE
+                col_a[i] = op.trap
+                col_b[i], col_c[i] = qubits
+                col_d[i] = True
+            elif nq == 1:
+                kind[i] = K_GATE
+                col_a[i] = op.trap
+                col_b[i] = qubits[0]
+                col_c[i] = -1
         elif cls is MoveOp:
-            ion, src, dst = op.ion, op.src, op.dst
-            if _fits(ion) and _fits(src) and _fits(dst):
-                kind[i] = K_MOVE
-                col_a[i], col_b[i], col_c[i] = ion, src, dst
+            kind[i] = K_MOVE
+            col_a[i] = op.ion
+            col_b[i] = op.src
+            col_c[i] = op.dst
         elif cls is SplitOp:
-            ion, trap = op.ion, op.trap
-            if _fits(ion) and _fits(trap):
-                kind[i] = K_SPLIT
-                col_a[i], col_b[i], col_c[i] = ion, trap, -1
+            kind[i] = K_SPLIT
+            col_a[i] = op.ion
+            col_b[i] = op.trap
+            col_c[i] = -1
         elif cls is MergeOp:
-            ion, trap, position = op.ion, op.trap, op.position
-            if (
-                _fits(ion)
-                and _fits(trap)
-                and (position is None or (_fits(position) and position >= 0))
-            ):
-                # position -1 encodes None (tail append); a negative
-                # insert index is legal scalar but stays K_OTHER.
-                kind[i] = K_MERGE
-                col_a[i], col_b[i] = ion, trap
-                col_c[i] = -1 if position is None else position
+            kind[i] = K_MERGE
+            col_a[i] = op.ion
+            col_b[i] = op.trap
+            position = op.position
+            if position is None:
+                col_c[i] = -1  # tail append
+            else:
+                col_c[i] = position
+                positioned.append(i)
         elif cls is SwapOp:
-            ion_a, ion_b, trap = op.ion_a, op.ion_b, op.trap
-            if _fits(ion_a) and _fits(ion_b) and _fits(trap):
-                kind[i] = K_SWAP
-                col_a[i], col_b[i], col_c[i] = ion_a, ion_b, trap
-    stream = CompiledStream(list(ops), kind, col_a, col_b, col_c, col_d)
+            kind[i] = K_SWAP
+            col_a[i] = op.ion_a
+            col_b[i] = op.ion_b
+            col_c[i] = op.trap
+    stream = _checked_stream(
+        list(ops), kind, col_a, col_b, col_c, col_d, positioned
+    )
     try:
         source._compiled_stream = stream
     except AttributeError:
         pass  # raw tuples/lists: no cache slot
     return stream
+
+
+def _checked_stream(
+    ops, kind, col_a, col_b, col_c, col_d, positioned
+) -> "CompiledStream":
+    """The :class:`CompiledStream` of unchecked columns, after turning
+    every row whose fields break the column rule into a zeroed
+    ``K_OTHER`` row.
+
+    The rule: each field is an ``int`` (``isinstance``, so bools and
+    int subclasses pass, numpy ints do not) within int64, and an
+    explicit merge position (a row of ``positioned``) is non-negative:
+    a negative insert index is legal scalar, but -1 already encodes
+    "tail".  The constant fields the loop writes (-1, 0) always pass.
+
+    The common case is decided in bulk: every value's type is exactly
+    ``int`` and no explicit position is negative, and then the int64
+    conversion in the constructor is the range check (numpy raises
+    ``OverflowError`` for a Python int beyond int64).  Anything else
+    is checked row by row.
+    """
+    types = set(map(type, col_a))
+    types.update(map(type, col_b))
+    types.update(map(type, col_c))
+    if types <= {int} and all(col_c[i] >= 0 for i in positioned):
+        try:
+            return CompiledStream(ops, kind, col_a, col_b, col_c, col_d)
+        except OverflowError:
+            pass  # an int beyond int64: the row check finds it
+    explicit = set(positioned)
+    for i, row_kind in enumerate(kind):
+        if row_kind == K_OTHER:
+            continue
+        c = col_c[i]
+        if (
+            _fits(col_a[i])
+            and _fits(col_b[i])
+            and _fits(c)
+            and (i not in explicit or c >= 0)
+        ):
+            continue
+        kind[i] = K_OTHER
+        col_a[i] = col_b[i] = col_c[i] = 0
+        col_d[i] = False
+    return CompiledStream(ops, kind, col_a, col_b, col_c, col_d)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ pass needs:
 * :class:`SpliceEditor` — the bridge between a pass's speculative
   edits (delete these indices, insert these ops) and the kernel's
   incremental verification engine
-  (:class:`~repro.core.replay.CheckpointedReplay`): each candidate is
+  (:class:`~repro.core.replaying.CheckpointedReplay`): each candidate is
   folded into one ``(start, end, replacement)`` splice and verified in
   O(window) instead of a full O(schedule) replay per trial.
 """
@@ -41,7 +41,7 @@ from ..core.observers import estimate_makespan as _kernel_makespan
 from ..core.observers import occupancy_at as _kernel_occupancy_at
 from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
 from ..core.params import TimingParams
-from ..core.replay import CheckpointedReplay
+from ..core.replaying import CheckpointedReplay
 from ..sim.schedule import Schedule
 
 
@@ -223,7 +223,7 @@ class SpliceEditor:
     engine's current stream.  The editor maps between the two index
     spaces, folds each trial (a set of deleted indices plus optional
     insertions) into a single contiguous ``(start, end, replacement)``
-    splice, asks the :class:`~repro.core.replay.CheckpointedReplay`
+    splice, asks the :class:`~repro.core.replaying.CheckpointedReplay`
     engine for the verdict a full legality replay would reach — in
     O(window + √N) instead of O(schedule) — and commits accepted
     edits so later trials verify against the up-to-date stream.

@@ -14,7 +14,7 @@ candidate round trip is verified against the machine model and
 reverted when removing it would overfill a trap (or break in-chain
 swap adjacency under ``track_chain_order``).  Verification runs
 through the kernel's checkpointed splice engine
-(:class:`~repro.core.replay.CheckpointedReplay` via
+(:class:`~repro.core.replaying.CheckpointedReplay` via
 :class:`~repro.passes.base.SpliceEditor`): each candidate deletion is
 one splice replayed from the nearest state checkpoint instead of a
 full O(schedule) replay — same verdicts, a fraction of the work.

@@ -18,7 +18,7 @@ schedule.  Safety is non-negotiable:
 
 The verify-and-revert loop runs on the kernel's *incremental* replay:
 the input schedule is replayed once into a
-:class:`~repro.core.replay.CheckpointedReplay` (machine-state
+:class:`~repro.core.replaying.CheckpointedReplay` (machine-state
 checkpoints every √N ops, each carrying a
 :class:`~repro.core.observers.HeatingObserver` snapshot when the
 fidelity guard is on), and every pass output is then verified as a
@@ -44,7 +44,7 @@ from ..obs import active as _obs_active
 from ..core.errors import MachineModelError
 from ..core.observers import HeatingObserver
 from ..core.params import DEFAULT_PARAMS, MachineParams
-from ..core.replay import CheckpointedReplay
+from ..core.replaying import CheckpointedReplay
 from ..sim.schedule import Schedule
 from .base import PassContext, SchedulePass
 from .registry import make_passes

@@ -25,7 +25,7 @@ from collections import Counter
 from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
 from ..core.ops import GateOp
-from ..core.replay import replay
+from ..core.replaying import replay
 from ..sim.schedule import Schedule
 
 

@@ -62,6 +62,14 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     sys_version = ""
+    #: A buffered response stream: :meth:`_send_json` hands the headers
+    #: and the body to the socket in one write.  Written separately, a
+    #: kept-alive connection stalls the body ~40 ms: Nagle's algorithm
+    #: holds it until the client ACKs the header segment, and the
+    #: client delays that ACK.  A body larger than the buffer still
+    #: goes out in two writes, so Nagle is off as well.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> CompileService:
@@ -85,6 +93,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header("Retry-After", f"{max(retry_after, 0.0):.3f}")
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass  # client gave up; nothing to salvage
 

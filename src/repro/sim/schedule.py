@@ -5,11 +5,13 @@ statistics.  The schedule is the contract between compiler and
 simulator — the simulator validates it instruction by instruction, so a
 buggy compiler cannot silently produce an inexecutable program.
 
-Op-kind statistics (``num_shuttles`` et al.) are maintained
-incrementally: the first query counts the stream once, every later
-``append``/``extend`` updates the tally, so the compiler's router —
-which brackets each route with two ``num_shuttles`` reads — pays O(1)
-instead of re-scanning an ever-growing stream.
+The stream only ever grows in place (``append``/``extend``; a splice
+builds a new schedule), so its length identifies its version: the
+cached hash, the cached compiled stream and the op-kind tally
+(``num_shuttles`` et al.) each remember the length they describe and
+bring themselves up to date when read.  ``append`` is a bare list
+append — the compiler emits every op through it — and a statistics
+query after further appends counts only the new ops.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
-from ..core.vector import HAVE_NUMPY, compile_stream
+from ..core.vector import HAVE_NUMPY, K_OTHER, compile_stream
 
 #: Exact-class -> kind discriminator (fallback: the op's own property).
 _KIND_OF = {
@@ -35,35 +37,28 @@ class Schedule:
 
     def __init__(self, ops: Iterable[MachineOp] = ()) -> None:
         self._ops: list[MachineOp] = list(ops)
-        #: Lazy kind tally (None until first statistics query).
+        #: Lazy kind tally (None until first statistics query) and the
+        #: number of leading ops it covers.
         self._kind_counts: dict[str, int] | None = None
-        #: Cached content hash (None until first hash, reset on mutation).
+        self._counted = 0
+        #: Cached content hash (None until first hash) and the length
+        #: it was taken at.
         self._hash: int | None = None
+        self._hashed = 0
         #: Cached columnar form for the vectorized replay kernel
         #: (populated by repro.core.vector.compile_stream on first
-        #: batched replay; reset on mutation so simulate/verify/pass
-        #: replays of the same schedule share one compilation).
+        #: batched replay and used while its length matches, so
+        #: simulate/verify/pass replays of the same schedule share one
+        #: compilation).
         self._compiled_stream = None
 
     def append(self, op: MachineOp) -> None:
         """Append one machine op."""
         self._ops.append(op)
-        self._hash = None
-        self._compiled_stream = None
-        counts = self._kind_counts
-        if counts is not None:
-            kind = _KIND_OF.get(type(op)) or op.kind
-            counts[kind] = counts.get(kind, 0) + 1
 
     def extend(self, ops: Iterable[MachineOp]) -> None:
         """Append several machine ops."""
-        self._hash = None
-        self._compiled_stream = None
-        if self._kind_counts is None:
-            self._ops.extend(ops)
-            return
-        for op in ops:
-            self.append(op)
+        self._ops.extend(ops)
 
     def spliced(
         self,
@@ -81,15 +76,10 @@ class Schedule:
         query.
         """
         replacement = list(replacement)
-        out = Schedule.__new__(Schedule)
+        out = Schedule(())
         out._ops = self._ops[:start] + replacement + self._ops[end:]
-        out._hash = None
-        out._compiled_stream = None
-        counts = self._kind_counts
-        if counts is None:
-            out._kind_counts = None
-        else:
-            counts = dict(counts)
+        if self._kind_counts is not None:
+            counts = dict(self._counts())
             kind_of = _KIND_OF
             for op in self._ops[start:end]:
                 kind = kind_of.get(type(op)) or op.kind
@@ -98,26 +88,33 @@ class Schedule:
                 kind = kind_of.get(type(op)) or op.kind
                 counts[kind] = counts.get(kind, 0) + 1
             out._kind_counts = counts
+            out._counted = len(out._ops)
         return out
 
     def _counts(self) -> dict[str, int]:
-        """The kind tally, built on first use."""
+        """The kind tally, built on first use and brought up to date
+        with the ops appended since."""
         counts = self._kind_counts
         if counts is None:
-            counts = {}
-            kind_of = _KIND_OF
-            for cls, n in Counter(map(type, self._ops)).items():
-                kind = kind_of.get(cls)
-                if kind is None:  # subclassed op: fall back to .kind
-                    continue
-                counts[kind] = counts.get(kind, 0) + n
-            tallied = sum(counts.values())
-            if tallied != len(self._ops):
-                for op in self._ops:
-                    if type(op) not in kind_of:
-                        kind = op.kind
-                        counts[kind] = counts.get(kind, 0) + 1
-            self._kind_counts = counts
+            counts = self._kind_counts = {}
+        ops = self._ops
+        if self._counted == len(ops):
+            return counts
+        new = ops[self._counted :] if self._counted else ops
+        kind_of = _KIND_OF
+        tallied = 0
+        for cls, n in Counter(map(type, new)).items():
+            kind = kind_of.get(cls)
+            if kind is None:  # subclassed op: fall back to .kind
+                continue
+            counts[kind] = counts.get(kind, 0) + n
+            tallied += n
+        if tallied != len(new):
+            for op in new:
+                if type(op) not in kind_of:
+                    kind = op.kind
+                    counts[kind] = counts.get(kind, 0) + 1
+        self._counted = len(ops)
         return counts
 
     @property
@@ -145,11 +142,12 @@ class Schedule:
         to None and silently make schedules unusable as dict/set keys —
         which result caches and memo tables rely on.  The hash is
         computed once and cached (dict lookups used to re-hash the full
-        op stream every probe); ``append``/``extend``/``spliced``
-        invalidate or bypass the cache, so a mutated schedule re-hashes
-        correctly instead of lying about its content."""
-        if self._hash is None:
+        op stream every probe); the cache is only used while the
+        length it was taken at matches, so an appended-to schedule
+        re-hashes correctly instead of lying about its content."""
+        if self._hash is None or self._hashed != len(self._ops):
             self._hash = hash(tuple(self._ops))
+            self._hashed = len(self._ops)
         return self._hash
 
     # ------------------------------------------------------------------
@@ -163,14 +161,18 @@ class Schedule:
         thousands of per-op dataclass reduces with a handful of
         ndarrays.  A schedule that already replayed ships its cached
         stream; any other is encoded without caching the stream, so
-        pickling adds no memory to it.  The kind tally travels too;
-        the hash and the compiled stream are rebuilt on demand."""
+        pickling adds no memory to it.  The kind tally travels too,
+        counted here if nothing asked for it yet, so a loaded schedule
+        (a cache hit's) reports ``num_shuttles`` without a pass over
+        its ops; the hash and the compiled stream are rebuilt on
+        demand."""
+        counts = self._counts()
         if not HAVE_NUMPY:
-            return {"_ops": self._ops, "_kind_counts": self._kind_counts}
+            return {"_ops": self._ops, "_kind_counts": counts}
         stream = self._compiled_stream
-        if stream is None:
+        if stream is None or len(stream) != len(self._ops):
             stream = compile_stream(self._ops)  # a list: nothing cached
-        return {"_stream": stream, "_kind_counts": self._kind_counts}
+        return {"_stream": stream, "_kind_counts": counts}
 
     def __setstate__(self, state: dict) -> None:
         # Copies: a shallow ``copy.copy`` hands over the live state, and
@@ -183,8 +185,13 @@ class Schedule:
             raise ValueError(
                 f"unsupported Schedule pickle state: keys {sorted(state)}"
             )
-        self._kind_counts = state.get("_kind_counts")
+        counts = state.get("_kind_counts")
+        # A copy too: a shallow copy's tally must not count into the
+        # original's.
+        self._kind_counts = None if counts is None else dict(counts)
+        self._counted = 0 if counts is None else len(self._ops)
         self._hash = None
+        self._hashed = 0
         self._compiled_stream = None
 
     # ------------------------------------------------------------------
@@ -202,7 +209,20 @@ class Schedule:
 
     @property
     def num_two_qubit_gates(self) -> int:
-        """Number of executed two-qubit gates."""
+        """Number of executed two-qubit gates.
+
+        A schedule that replayed has its compiled stream; when that
+        stream encodes every op (no ``K_OTHER`` row: no subclassed op,
+        no gate on more than two qubits), its ``d`` column marks
+        exactly the two-qubit gate ops, and the count is its sum.
+        """
+        stream = self._compiled_stream
+        if (
+            stream is not None
+            and len(stream) == len(self._ops)
+            and K_OTHER not in stream.kind_l
+        ):
+            return sum(stream.d_l)
         return sum(
             1
             for op in self._ops

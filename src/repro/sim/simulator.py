@@ -38,7 +38,7 @@ from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
 from ..core.observers import ClockObserver, HeatingObserver
 from ..core.params import DEFAULT_PARAMS, MachineParams
-from ..core.replay import replay
+from ..core.replaying import replay
 from .schedule import Schedule
 
 

@@ -20,7 +20,6 @@ checkpoints.
 
 from __future__ import annotations
 
-import importlib
 import random
 
 import pytest
@@ -35,6 +34,7 @@ from repro.core import (
     MachineState,
     replay,
 )
+from repro.core import replaying
 from repro.core.errors import MachineModelError
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.vector import HAVE_NUMPY
@@ -333,8 +333,8 @@ def test_illegal_base_stream_raises_like_replay():
     assert str(caught.value) == expected
 
 
-#: The module, not the re-exported ``repro.core.replay`` function.
-REPLAY_MODULE = importlib.import_module("repro.core.replay")
+#: The replay module, whose kernel choice reads ``HAVE_NUMPY``.
+REPLAY_MODULE = replaying
 
 
 def build_on_kernel(monkeypatch, vector, machine, ops, chains, observers):

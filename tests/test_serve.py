@@ -42,6 +42,7 @@ from repro.serve import (
     load_serve_config,
     outcome_to_code,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -643,6 +644,49 @@ class TestHTTP:
         assert body["error"]["code"] == "validation"
         assert "Content-Length" in body["error"]["message"]
         assert response.getheader("Connection") == "close"
+
+    def test_keep_alive_connection_does_not_stall(self):
+        """Each response leaves in one write: on one kept-alive
+        connection, headers and body written apart stall ~40 ms per
+        request (Nagle's algorithm against the client's delayed ACK)."""
+        with ServerHandle(FAST_CONFIG) as handle:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=10
+            )
+            try:
+                for _ in range(20):
+                    start = monotonic()
+                    connection.request("GET", "/healthz")
+                    response = connection.getresponse()
+                    body = json.loads(response.read())
+                    elapsed = monotonic() - start
+                    assert response.status == 200 and body
+                    assert elapsed < 0.020, f"{elapsed * 1e3:.1f} ms"
+            finally:
+                connection.close()
+
+    @pytest.mark.parametrize(
+        "length", ["abc", str(MAX_BODY_BYTES + 1)], ids=["malformed", "oversize"]
+    )
+    def test_refused_bodies_close_the_connection(self, length):
+        """The one-write response still hangs up where the body's
+        extent is unknown or the body stays unread."""
+        with ServerHandle(FAST_CONFIG) as handle:
+            request = (
+                "POST /v1/jobs HTTP/1.1\r\n"
+                f"Host: 127.0.0.1:{handle.port}\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            )
+            with socket.create_connection(
+                ("127.0.0.1", handle.port), timeout=10
+            ) as sock:
+                sock.sendall(request.encode("ascii"))
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                response.read()
+                assert response.status == 400
+                assert response.getheader("Connection") == "close"
+                assert sock.recv(1) == b""  # the server hung up
 
     def test_rate_limit_keyed_by_identity_header(self):
         config = ServeConfig(

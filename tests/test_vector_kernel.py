@@ -23,7 +23,6 @@ module pins that contract:
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 import random
@@ -241,11 +240,7 @@ def test_golden_semantics_with_kernel_off(name, monkeypatch):
     )
     circuit = next(c for c in paper_suite(full=False) if c.name == name)
 
-    # The attribute repro.core.replay is the re-exported function, so
-    # the module is looked up by name rather than by dotted path.
-    monkeypatch.setattr(
-        importlib.import_module("repro.core.replay"), "HAVE_NUMPY", False
-    )
+    monkeypatch.setattr("repro.core.replaying.HAVE_NUMPY", False)
     actual = circuit_case(circuit, l6_machine())
     for key in expected:
         assert actual[key] == expected[key], (
