@@ -66,14 +66,10 @@ class FutureView:
         scores a hoist candidate against a future that omits the
         candidate itself.
 
-    The compiler hands every decision a view — direction scoring,
-    evictions and Algorithm-1 candidates all run on the index.
-    Policies and the re-balancer also accept a plain ``(gate, layer)``
-    iterable, for streams that are not layer-monotone (which the index
-    rejects) and for direct callers such as the paper-example tests;
-    the isinstance dispatch picks the indexed scan for a view.  Views
-    are cheap throwaway objects: all mutable state (cursors, memo,
-    counters) lives on the index.
+    A view is the one input every shuttle decision takes: direction
+    scoring, evictions and Algorithm-1 candidates all walk the index
+    through it.  Views are cheap throwaway objects: all mutable state
+    (cursors, memo, counters) lives on the index.
     """
 
     __slots__ = ("index", "start", "rank_start", "exclude")
@@ -89,21 +85,6 @@ class FutureView:
         self.start = start
         self.rank_start = rank_start
         self.exclude = exclude
-
-    def __iter__(self):
-        """Yield the ``(gate, layer)`` stream this view stands for.
-
-        Lets a view stand in wherever a plain ``(gate, layer)``
-        iterable is accepted (none in the compiler proper walks it;
-        the property tests compare it against their frozen stream).
-        """
-        index = self.index
-        dag = index.dag
-        executed = index.executed
-        for node in index.pending_order(self.start):
-            if node == self.exclude or executed[node]:
-                continue
-            yield dag.gate(node), index.node_layer[node]
 
 
 class FutureGateIndex:
@@ -261,13 +242,6 @@ class FutureGateIndex:
             cursor += 1
         self._ion_cursor[ion] = cursor
         return nodes, self._ion_partners[ion], cursor
-
-    def pending_order(self, start: int):
-        """Unexecuted DAG nodes at pending positions ``>= start`` in
-        order (the walk behind :meth:`FutureView.__iter__`)."""
-        pending = self._pending
-        for position in range(start, len(pending)):
-            yield pending[position]
 
     # ------------------------------------------------------------------
     # Advancing

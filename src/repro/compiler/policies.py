@@ -27,23 +27,11 @@ The ablation harness (DESIGN.md experiment E4) sweeps both.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..circuits.gate import Gate
 from .future_index import FutureView
 from .state import CompilerState
-
-#: An upcoming-gate stream item: the gate and its DAG layer.
-UpcomingGate = tuple[Gate, int]
-
-
-def _normalize(item) -> UpcomingGate:
-    """Accept bare Gates (layer 0) or (gate, layer) pairs."""
-    if isinstance(item, Gate):
-        return item, 0
-    return item
-
 
 @dataclass(frozen=True)
 class ShuttleDecision:
@@ -94,7 +82,7 @@ class ExcessCapacityPolicy:
         self,
         gate: Gate,
         state: CompilerState,
-        upcoming: Iterable,
+        upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
         """Pick the direction; ``upcoming`` is ignored by this policy."""
@@ -105,7 +93,7 @@ class ExcessCapacityPolicy:
         self,
         gate: Gate,
         state: CompilerState,
-        upcoming: Iterable,
+        upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
         """Same as :meth:`decide`: the EC rule has no separate notion of
@@ -177,110 +165,38 @@ class FutureOpsPolicy:
         ion_a: int,
         ion_b: int,
         state: CompilerState,
-        upcoming: Iterable,
+        upcoming: FutureView,
         active_layer: int | None = None,
     ) -> MoveScores:
-        """Compute the Section III-A2 move scores.
+        """Compute the Section III-A2 move scores over ``upcoming``.
 
         * ``a_to_b`` = # upcoming ion_a-gates whose partner is in trap_b
           + # upcoming ion_b-gates whose partner is in trap_b
         * ``b_to_a`` = the mirror with trap_a
 
         Partner traps are evaluated at the *current* mapping.  The scan
-        walks the upcoming two-qubit gates in execution order and stops
-        once the distance from the last relevant gate exceeds the
-        proximity cutoff.  ``upcoming`` yields ``(gate, layer)`` pairs
-        (bare gates are accepted with layer 0, degrading gracefully to
-        the ``"gates"`` metric).
+        visits the upcoming two-qubit gates in execution order and
+        stops once the distance from the last relevant gate exceeds the
+        proximity cutoff.  It merge-walks only the two active ions'
+        indexed gate lists — O(window on those lists), not O(remaining
+        program).  Only gates involving ``ion_a`` or ``ion_b`` can
+        contribute to a score, and — thanks to the index's
+        layer-monotone pending invariant — only they can terminate the
+        scan either: an irrelevant gate breaching the ``"layers"``
+        cutoff implies the next relevant gate breaches it too, and
+        ``"gates"``-metric gaps are reconstructed exactly from the
+        per-node two-qubit ranks (DESIGN.md §8).
 
-        When ``upcoming`` is a :class:`~repro.compiler.future_index.
-        FutureView`, the scan instead walks only the two active ions'
-        indexed gate lists — O(window on those lists) rather than
-        O(remaining program) — with bit-identical scores (same
-        additions in the same order; see DESIGN.md §8).
-        """
-        if isinstance(upcoming, FutureView):
-            return self._move_scores_indexed(
-                ion_a, ion_b, state, upcoming, active_layer
-            )
-        trap_a = state.trap_of(ion_a)
-        trap_b = state.trap_of(ion_b)
-        score_ab = 0.0
-        score_ba = 0.0
-        use_layers = self.proximity_metric == "layers"
-        use_decay = self.score_decay < 1.0
-        last_relevant_layer = active_layer
-        gap = 0
-        for item in upcoming:
-            gate, layer = _normalize(item)
-            if not gate.is_two_qubit:
-                continue
-            qubits = gate.qubits
-            a_in = ion_a in qubits
-            b_in = ion_b in qubits
-            if not a_in and not b_in:
-                if self.proximity is None:
-                    continue
-                if use_layers:
-                    if (
-                        last_relevant_layer is not None
-                        and layer - last_relevant_layer > self.proximity
-                    ):
-                        break
-                else:
-                    gap += 1
-                    if gap > self.proximity:
-                        break
-                continue
-            if (
-                self.proximity is not None
-                and use_layers
-                and last_relevant_layer is not None
-                and layer - last_relevant_layer > self.proximity
-            ):
-                break
-            last_relevant_layer = layer
-            gap = 0
-            weight = 1.0
-            if use_decay and active_layer is not None:
-                weight = self.score_decay ** max(0, layer - active_layer)
-            for ion, present in ((ion_a, a_in), (ion_b, b_in)):
-                if not present:
-                    continue
-                partner = qubits[0] if qubits[1] == ion else qubits[1]
-                partner_trap = state.trap_of(partner)
-                if partner_trap == trap_b:
-                    score_ab += weight
-                if partner_trap == trap_a:
-                    score_ba += weight
-        return MoveScores(a_to_b=score_ab, b_to_a=score_ba)
-
-    def _move_scores_indexed(
-        self,
-        ion_a: int,
-        ion_b: int,
-        state: CompilerState,
-        view: FutureView,
-        active_layer: int | None,
-    ) -> MoveScores:
-        """Indexed :meth:`move_scores`: merge-walk the two ions' gate lists.
-
-        Only gates involving ``ion_a`` or ``ion_b`` can contribute to a
-        score, and — thanks to the index's layer-monotone pending
-        invariant — only they can terminate the scan either: an
-        irrelevant gate breaching the ``"layers"`` cutoff implies the
-        next relevant gate breaches it too, and ``"gates"``-metric gaps
-        are reconstructed exactly from the per-node two-qubit ranks.
         Results are memoized per mapping epoch: ``favoured``, the
         compiler's ``_score_margin`` and ``decide`` ask for the same
         scores back to back, and the epoch key invalidates them the
         moment an eviction moves an ion.
         """
-        index = view.index
+        index = upcoming.index
         if state.epoch != index.memo_epoch:
             index.score_memo.clear()
             index.memo_epoch = state.epoch
-        memo_key = (ion_a, ion_b, view.start, view.exclude)
+        memo_key = (ion_a, ion_b, upcoming.start, upcoming.exclude)
         cached = index.score_memo.get(memo_key)
         if cached is not None:
             index.num_memo_hits += 1
@@ -309,14 +225,14 @@ class FutureOpsPolicy:
         order_key = index.order_key
         node_layer = index.node_layer
         rank2q = index.rank2q
-        start = view.start
-        exclude = view.exclude
+        start = upcoming.start
+        exclude = upcoming.exclude
         exclude_key = order_key[exclude] if exclude is not None else None
         # "gates" metric: rank of the last relevant gate; seeded one
         # before the window origin so the first gap comes out as the
         # number of two-qubit gates between the window start and the
         # first relevant gate, exactly like the stream scan's counter.
-        previous_rank = view.rank_start - 1
+        previous_rank = upcoming.rank_start - 1
 
         while True:
             while ia < end_a and (
@@ -395,7 +311,7 @@ class FutureOpsPolicy:
         self,
         gate: Gate,
         state: CompilerState,
-        upcoming: Iterable,
+        upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
         """The raw score-favoured direction (Section III-A2), with no
@@ -421,7 +337,7 @@ class FutureOpsPolicy:
         self,
         gate: Gate,
         state: CompilerState,
-        upcoming: Iterable,
+        upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
         """Pick the direction with the larger move score (Section III-A2).

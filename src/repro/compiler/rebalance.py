@@ -21,9 +21,6 @@ another trap with excess capacity.  Two choices parameterize this:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-from ..circuits.gate import Gate
 from .config import (
     DEFAULT_WEIGHT_DEST,
     DEFAULT_WEIGHT_SOURCE,
@@ -84,7 +81,7 @@ def select_ion_max_score(
     source_trap: int,
     destination_trap: int,
     pinned: frozenset[int],
-    upcoming: Iterable[Gate] | FutureView,
+    upcoming: FutureView,
     window: int,
 ) -> int:
     """Max-score eviction (Section III-C2).
@@ -106,7 +103,7 @@ def max_score_with_value(
     source_trap: int,
     destination_trap: int,
     pinned: frozenset[int],
-    upcoming: Iterable[Gate] | FutureView,
+    upcoming: FutureView,
     window: int,
 ) -> tuple[int, float]:
     """Like :func:`select_ion_max_score` but also returns the score.
@@ -115,92 +112,32 @@ def max_score_with_value(
     worth taking when the best candidate has a non-negative score (no
     near-future gates anchoring it to the full trap).
 
-    ``upcoming`` is either a plain gate stream (scanned until
-    ``window`` two-qubit gates have passed) or a
-    :class:`~repro.compiler.future_index.FutureView`, in which case
-    each candidate ion's own indexed gate list is walked instead —
-    O(window slice of that list) per candidate rather than one full
-    stream re-iteration per eviction.  A plain stream is consumed in
-    exactly one pass, so one-shot generators are fine.
+    Each candidate ion's own indexed gate list in ``upcoming`` is
+    walked — O(window slice of that list) per candidate.  A gate is
+    inside the window iff fewer than ``window`` two-qubit gates (of any
+    ions — the window is a property of the stream, not of the
+    candidate) precede it from the view's start, which is what the
+    per-node two-qubit rank measures.  Partners currently in transit
+    count for neither trap.
     """
     eligible = [ion for ion in state.chains[source_trap] if ion not in pinned]
     if not eligible:
         raise CompilationError(
             f"every ion in trap {source_trap} is pinned; cannot re-balance"
         )
-    if isinstance(upcoming, FutureView):
-        dest_count, source_count = _window_counts_indexed(
-            state, eligible, source_trap, destination_trap, upcoming, window
-        )
-    else:
-        dest_count = {ion: 0 for ion in eligible}
-        source_count = {ion: 0 for ion in eligible}
-        eligible_set = set(eligible)
-        seen = 0
-        for item in upcoming:
-            gate = item[0] if isinstance(item, tuple) else item
-            if not gate.is_two_qubit:
-                continue
-            seen += 1
-            if seen > window:
-                break
-            q0, q1 = gate.qubits
-            for ion, partner in ((q0, q1), (q1, q0)):
-                if ion not in eligible_set:
-                    continue
-                try:
-                    partner_trap = state.trap_of(partner)
-                except CompilationError:
-                    continue
-                if partner_trap == destination_trap:
-                    dest_count[ion] += 1
-                elif partner_trap == source_trap:
-                    source_count[ion] += 1
-    best_ion = eligible[0]
-    best_score = float("-inf")
-    for ion in eligible:
-        dest = dest_count[ion]
-        source = source_count[ion]
-        if dest == source:
-            score = TIE_WEIGHT_DEST * dest - TIE_WEIGHT_SOURCE * source
-        else:
-            score = DEFAULT_WEIGHT_DEST * dest - DEFAULT_WEIGHT_SOURCE * source
-        if score > best_score:
-            best_score = score
-            best_ion = ion
-    return best_ion, best_score
-
-
-def _window_counts_indexed(
-    state: CompilerState,
-    eligible: Sequence[int],
-    source_trap: int,
-    destination_trap: int,
-    view: FutureView,
-    window: int,
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-ion destination/source partner counts from the future index.
-
-    Exactly the counts the stream scan produces: a gate is inside the
-    window iff fewer than ``window`` two-qubit gates (of any ions — the
-    window is a property of the stream, not of the candidate) precede
-    it from the view's start, which is what the per-node two-qubit rank
-    measures.  Partners currently in transit are skipped, mirroring the
-    stream scan's ``CompilationError`` guard.
-    """
-    index = view.index
+    index = upcoming.index
     order_key = index.order_key
     rank2q = index.rank2q
-    start = view.start
-    exclude = view.exclude
+    start = upcoming.start
+    exclude = upcoming.exclude
     exclude_key = order_key[exclude] if exclude is not None else None
-    rank_limit = view.rank_start + window
+    rank_limit = upcoming.rank_start + window
     # Direct reads of the ion -> trap list.  Where trap_of would raise
     # (too short a list, or a negative entry: the partner is in
-    # transit) the partner counts for neither trap, as before.
+    # transit) the partner matches neither trap.
     lookup = state._lookup
-    dest_count: dict[int, int] = {}
-    source_count: dict[int, int] = {}
+    best_ion = eligible[0]
+    best_score = float("-inf")
     for ion in eligible:
         nodes, partners, i = index.ion_stream(ion)
         dest = source = 0
@@ -222,9 +159,14 @@ def _window_counts_indexed(
                 dest += 1
             elif partner_trap == source_trap:
                 source += 1
-        dest_count[ion] = dest
-        source_count[ion] = source
-    return dest_count, source_count
+        if dest == source:
+            score = TIE_WEIGHT_DEST * dest - TIE_WEIGHT_SOURCE * source
+        else:
+            score = DEFAULT_WEIGHT_DEST * dest - DEFAULT_WEIGHT_SOURCE * source
+        if score > best_score:
+            best_score = score
+            best_ion = ion
+    return best_ion, best_score
 
 
 def select_eviction(
@@ -233,7 +175,7 @@ def select_eviction(
     strategy: str,
     ion_selection: str,
     pinned: frozenset[int],
-    upcoming: Iterable[Gate] | FutureView,
+    upcoming: FutureView,
     window: int,
     exclude_traps: frozenset[int] = frozenset(),
 ) -> tuple[int, int]:

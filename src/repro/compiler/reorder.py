@@ -10,11 +10,11 @@ and becoming the new active gate.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from ..circuits.dag import DependencyDAG
 from ..circuits.gate import Gate
-from .future_index import FutureGateIndex
+from .future_index import FutureGateIndex, FutureView
 from .state import CompilerState
 
 
@@ -23,7 +23,7 @@ def find_reorder_candidate(
     active_pos: int,
     dag: DependencyDAG,
     state: CompilerState,
-    decide: Callable[[Gate, Iterable[Gate]], "object"],
+    decide: Callable[[Gate, FutureView, int], "object"],
     old_destination: int,
     future: FutureGateIndex,
 ) -> int | None:
@@ -39,9 +39,9 @@ def find_reorder_candidate(
       ``old_destination``, the trap that is currently full.
 
     ``decide`` is a closure over the compiler's policy; it receives the
-    candidate gate, the upcoming ``(gate, layer)`` view, and the
-    candidate's layer, and returns an object with ``src``/``dst``
-    attributes (a ShuttleDecision).
+    candidate gate, the upcoming-gate view, and the candidate's layer,
+    and returns an object with ``src``/``dst`` attributes (a
+    ShuttleDecision).
 
     Only gates with a qubit whose ion currently sits in the full trap
     can have ``old_destination`` among their traps, so the candidate

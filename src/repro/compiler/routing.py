@@ -10,15 +10,15 @@ itself a recursive route.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from time import perf_counter
 
 from ..arch.topology import TopologyError
-from ..circuits.gate import Gate
 from ..core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
 from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
 from .config import CompilerConfig
+from .future_index import FutureView
 from .rebalance import max_score_with_value, select_eviction
 from .state import CompilationError, CompilerState
 
@@ -39,12 +39,10 @@ class Router:
     config:
         Supplies the re-balancing strategy and ion-selection rule.
     upcoming_factory:
-        Zero-argument callable returning a fresh view of the upcoming
-        gates (needed by max-score ion selection); the compiler binds
-        it to its current program position.  The compiler supplies
-        :class:`~repro.compiler.future_index.FutureView` windows so
-        eviction scoring walks per-ion indexes; a plain ``(gate,
-        layer)`` iterable is also accepted (direct callers, tests).
+        Zero-argument callable returning a fresh
+        :class:`~repro.compiler.future_index.FutureView` of the
+        upcoming gates (needed by max-score ion selection); the
+        compiler binds it to its current program position.
     """
 
     def __init__(
@@ -52,7 +50,7 @@ class Router:
         state: CompilerState,
         schedule: Schedule,
         config: CompilerConfig,
-        upcoming_factory: Callable[[], Iterable[Gate]] = lambda: (),
+        upcoming_factory: Callable[[], FutureView],
     ) -> None:
         self.state = state
         self.schedule = schedule

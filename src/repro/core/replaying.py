@@ -325,16 +325,6 @@ class CheckpointedReplay:
         """Final per-trap chains of the current base stream (copy)."""
         return {t: list(c) for t, c in self._final_chains.items()}
 
-    @property
-    def num_checkpoints(self) -> int:
-        return len(self._cp_indices)
-
-    def state_at(self, index: int) -> MachineState:
-        """Fresh machine state after ``ops[:index]`` (an independent
-        fork; mutating it does not touch the engine)."""
-        self._restore_base(self._probe, index)
-        return self._probe.fork()
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from ..arch.machine import QCCDMachine
 from ..arch.presets import l6_machine
+from ..batch.jobs import CompileJob
+from ..batch.runner import BatchRunner
 from ..circuits.circuit import Circuit
-from ..compiler.compiler import QCCDCompiler
 from ..compiler.config import CompilerConfig
 from ..compiler.mapping import greedy_initial_mapping
 from .metrics import aggregate, reduction_percent
@@ -37,40 +38,45 @@ class SweepPoint:
     mean_reduction_percent: float
 
 
+def _shuttle_counts(
+    circuits: list[Circuit],
+    machine: QCCDMachine,
+    config: CompilerConfig,
+    chains: list[dict[int, list[int]]],
+) -> list[int]:
+    """Shuttle count of each circuit compiled under ``config`` from its
+    pinned initial mapping (every configuration of a sweep starts from
+    the same placement, as in the paper's comparison)."""
+    jobs = [
+        CompileJob(circuit, machine, config, initial_chains=initial)
+        for circuit, initial in zip(circuits, chains)
+    ]
+    return [
+        job_result.result.num_shuttles
+        for job_result in BatchRunner().run_or_raise(jobs)
+    ]
+
+
 def _run_config(
     circuits: list[Circuit],
     machine: QCCDMachine,
     config: CompilerConfig,
+    chains: list[dict[int, list[int]]],
     baselines: list[int],
     label: str,
 ) -> SweepPoint:
-    shuttles = []
-    reductions = []
-    for circuit, baseline in zip(circuits, baselines):
-        result = QCCDCompiler(machine, config).compile(
-            circuit, initial_chains=greedy_initial_mapping(circuit, machine)
-        )
-        shuttles.append(float(result.num_shuttles))
-        reductions.append(reduction_percent(baseline, result.num_shuttles))
-    agg = aggregate(shuttles)
+    shuttles = _shuttle_counts(circuits, machine, config, chains)
+    reductions = [
+        reduction_percent(baseline, count)
+        for baseline, count in zip(baselines, shuttles)
+    ]
+    agg = aggregate([float(count) for count in shuttles])
     return SweepPoint(
         label=label,
         mean_shuttles=agg.mean,
         std_shuttles=agg.std,
         mean_reduction_percent=aggregate(reductions).mean,
     )
-
-
-def _baselines(
-    circuits: list[Circuit], machine: QCCDMachine
-) -> list[int]:
-    config = CompilerConfig.baseline()
-    return [
-        QCCDCompiler(machine, config)
-        .compile(c, initial_chains=greedy_initial_mapping(c, machine))
-        .num_shuttles
-        for c in circuits
-    ]
 
 
 def proximity_sweep(
@@ -82,7 +88,10 @@ def proximity_sweep(
     """E4: shuttles vs the gate-proximity parameter."""
     if machine is None:
         machine = l6_machine()
-    baselines = _baselines(circuits, machine)
+    chains = [greedy_initial_mapping(c, machine) for c in circuits]
+    baselines = _shuttle_counts(
+        circuits, machine, CompilerConfig.baseline(), chains
+    )
     points = []
     for proximity in values:
         config = CompilerConfig.optimized().variant(
@@ -90,7 +99,7 @@ def proximity_sweep(
         )
         label = "inf" if proximity is None else str(proximity)
         points.append(
-            _run_config(circuits, machine, config, baselines, label)
+            _run_config(circuits, machine, config, chains, baselines, label)
         )
     return points
 
@@ -103,8 +112,9 @@ def heuristic_ablation(
     configuration."""
     if machine is None:
         machine = l6_machine()
-    baselines = _baselines(circuits, machine)
+    chains = [greedy_initial_mapping(c, machine) for c in circuits]
     base = CompilerConfig.baseline()
+    baselines = _shuttle_counts(circuits, machine, base, chains)
     full = CompilerConfig.optimized()
     variants: list[tuple[str, CompilerConfig]] = [
         ("baseline [7]", base),
@@ -125,7 +135,7 @@ def heuristic_ablation(
         ("full, gate-metric", full.variant(proximity_metric="gates")),
     ]
     return [
-        _run_config(circuits, machine, config, baselines, label)
+        _run_config(circuits, machine, config, chains, baselines, label)
         for label, config in variants
     ]
 

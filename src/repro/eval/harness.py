@@ -2,16 +2,17 @@
 
 Every experiment in the paper compares the same two compilations —
 baseline [7] vs this work — of the same circuit from the same initial
-mapping.  :func:`compare` runs one such comparison (optionally
-simulating both schedules for fidelity), and :func:`run_suite` runs the
-whole benchmark suite once so Table II, Table III and Fig. 8 can all be
-derived from a single pass.
+mapping.  :func:`run_suite` runs the whole benchmark suite once so
+Table II, Table III and Fig. 8 can all be derived from a single pass,
+and :func:`compare` runs one such comparison (optionally simulating
+both schedules for fidelity).
 
-:func:`run_suite` dispatches through the batch engine
-(:mod:`repro.batch`), so suite passes parallelize across worker
-processes (``n_jobs``) and replay from the content-addressed result
-cache (``cache``) while remaining element-wise identical to the direct
-serial path of :func:`compare`.
+Both dispatch through the batch engine (:mod:`repro.batch`): one
+baseline and one optimized :class:`~repro.batch.jobs.CompileJob` per
+circuit, executed by :func:`~repro.batch.runner.execute_job`.  Suite
+passes parallelize across worker processes (``n_jobs``) and replay
+from the content-addressed result cache (``cache``) with element-wise
+identical results.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from ..batch.jobs import paired_jobs
 from ..batch.runner import BatchRunner
 from ..bench.suite import paper_suite
 from ..circuits.circuit import Circuit
-from ..compiler.compiler import QCCDCompiler
 from ..compiler.config import CompilerConfig
-from ..compiler.mapping import greedy_initial_mapping
 from ..compiler.result import CompilationResult
 from ..core.params import DEFAULT_PARAMS, MachineParams
-from ..sim.simulator import SimulationReport, Simulator
+from ..sim.simulator import SimulationReport
 from .metrics import improvement_factor, reduction_percent
 
 
@@ -88,45 +87,19 @@ def compare(
     simulate: bool = True,
 ) -> BenchmarkComparison:
     """Compile one circuit with both configurations and (optionally)
-    simulate both schedules.
+    simulate both schedules: :func:`run_suite` on a one-circuit list.
 
     Both compilers start from the identical greedy initial mapping, as
     in the paper's methodology (Section IV-E3).
     """
-    if machine is None:
-        machine = l6_machine()
-    if baseline_config is None:
-        baseline_config = CompilerConfig.baseline()
-    if optimized_config is None:
-        optimized_config = CompilerConfig.optimized()
-
-    chains = greedy_initial_mapping(circuit, machine)
-    baseline = QCCDCompiler(machine, baseline_config).compile(
-        circuit, initial_chains=chains
-    )
-    optimized = QCCDCompiler(machine, optimized_config).compile(
-        circuit, initial_chains=chains
-    )
-
-    baseline_report = optimized_report = None
-    if simulate:
-        simulator = Simulator(machine, params)
-        baseline_report = simulator.run(
-            baseline.schedule, baseline.initial_chains
-        )
-        optimized_report = simulator.run(
-            optimized.schedule, optimized.initial_chains
-        )
-
-    return BenchmarkComparison(
-        circuit_name=circuit.name,
-        num_qubits=circuit.num_qubits,
-        num_two_qubit_gates=circuit.num_two_qubit_gates,
-        baseline=baseline,
-        optimized=optimized,
-        baseline_report=baseline_report,
-        optimized_report=optimized_report,
-    )
+    return run_suite(
+        [circuit],
+        machine,
+        baseline_config,
+        optimized_config,
+        params,
+        simulate=simulate,
+    )[0]
 
 
 def run_suite(
@@ -149,7 +122,7 @@ def run_suite(
     ``cache`` (a :class:`~repro.batch.cache.ResultCache` or a cache
     directory path) replays previously computed results; pass a
     pre-configured ``runner`` to control both plus progress callbacks.
-    Results are identical to calling :func:`compare` per circuit.
+    Results are independent of ``n_jobs`` and of cache hits.
     """
     if circuits is None:
         circuits = paper_suite(full=full)

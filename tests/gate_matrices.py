@@ -1,8 +1,8 @@
 """Unitary matrices for the supported gate set.
 
-These are used to *verify* the trapped-ion native-set decompositions in
-:mod:`repro.circuits.decompose` — the compiler itself never multiplies
-matrices.  Matrices follow the little-endian qubit convention used by
+These are the test oracle for the trapped-ion native-set
+decompositions in :mod:`repro.circuits.decompose` — the compiler itself
+never multiplies matrices, so they live with the tests.  Matrices follow the little-endian qubit convention used by
 OpenQASM/Qiskit: for a gate on ``(q0, q1)``, ``q0`` is the least
 significant bit of the basis-state index.
 """
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .gate import Gate
+from repro.circuits.gate import Gate
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

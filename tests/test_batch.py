@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.arch import linear_topology, uniform_machine
+from repro.arch import l6_machine, linear_topology, uniform_machine
 from repro.batch import (
     BatchError,
     BatchRunner,
@@ -30,11 +30,14 @@ from repro.batch import (
 from repro.bench import random_circuit
 from repro.bench.suite import paper_suite
 from repro.circuits.circuit import Circuit
+from repro.compiler.compiler import QCCDCompiler
 from repro.compiler.config import CompilerConfig
+from repro.compiler.mapping import greedy_initial_mapping
 from repro.core.ops import ShuttleReason
 from repro.core.params import DEFAULT_PARAMS
-from repro.eval.harness import compare, run_suite
+from repro.eval.harness import BenchmarkComparison, compare, run_suite
 from repro.sim.schedule import Schedule
+from repro.sim.simulator import Simulator
 
 
 def tiny_machine():
@@ -581,19 +584,48 @@ class TestCompileTimeExcludedFromEquality:
         assert results[0].result != results[1].result
 
 
+def direct_comparison(circuit, machine, simulate):
+    """The serial reference path, with no batch machinery: the greedy
+    mapping, one QCCDCompiler per configuration, then the Simulator."""
+    chains = greedy_initial_mapping(circuit, machine)
+    results = [
+        QCCDCompiler(machine, config).compile(circuit, initial_chains=chains)
+        for config in (CompilerConfig.baseline(), CompilerConfig.optimized())
+    ]
+    reports = [
+        Simulator(machine, DEFAULT_PARAMS).run(
+            result.schedule, result.initial_chains
+        )
+        if simulate
+        else None
+        for result in results
+    ]
+    return BenchmarkComparison(
+        circuit.name,
+        circuit.num_qubits,
+        circuit.num_two_qubit_gates,
+        *results,
+        *reports,
+    )
+
+
 class TestRunSuiteEquivalence:
-    """The regression the cache must never break: run_suite through the
-    batch engine — serial, parallel, cold and warm cache — produces
-    byte-identical metrics to the direct serial path of compare()."""
+    """The regression the cache must never break: run_suite and compare
+    through the batch engine — serial, parallel, cold and warm cache —
+    produce byte-identical metrics to the direct serial path."""
 
     def direct_serial(self):
         return [
-            compare(circuit, tiny_machine(), simulate=True)
+            direct_comparison(circuit, tiny_machine(), simulate=True)
             for circuit in tiny_suite()
         ]
 
     def test_batch_matches_direct_serial_path(self, tmp_path):
         reference = [comparison_blob(c) for c in self.direct_serial()]
+        assert [
+            comparison_blob(compare(circuit, tiny_machine(), simulate=True))
+            for circuit in tiny_suite()
+        ] == reference
         cache = ResultCache(tmp_path / "cache")
 
         serial_cold = run_suite(
@@ -666,13 +698,15 @@ class TestRunSuiteEquivalence:
 @pytest.mark.slow
 class TestPaperSuiteEquivalence:
     """Acceptance run: the paper suite through the batch engine with
-    n_jobs=4 is identical to the serial harness, and a warm-cache
+    n_jobs=4 is identical to the direct serial path, and a warm-cache
     replay performs zero recompilations."""
 
     def test_paper_suite_parallel_and_warm_cache(self, tmp_path):
         circuits = paper_suite(full=False)
         reference = [
-            comparison_blob(compare(circuit, simulate=False))
+            comparison_blob(
+                direct_comparison(circuit, l6_machine(), simulate=False)
+            )
             for circuit in circuits
         ]
 

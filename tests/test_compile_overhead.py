@@ -63,6 +63,8 @@ from repro.core.vector import (
 )
 from repro.sim.schedule import Schedule
 
+from future_util import future_view
+
 CONFIGS = {
     "baseline": CompilerConfig.baseline(),
     "this-work": CompilerConfig.optimized(),
@@ -122,7 +124,12 @@ def routed_path(topology: TrapTopology, src: int, dst: int) -> list[int]:
     machine = unchecked_machine(topology, capacity=4)
     state = CompilerState(machine, {src: [0]})
     schedule = Schedule()
-    router = Router(state, schedule, CompilerConfig.optimized())
+    router = Router(
+        state,
+        schedule,
+        CompilerConfig.optimized(),
+        upcoming_factory=lambda: future_view([]),
+    )
     moves = router.route(0, dst, ShuttleReason.GATE, frozenset())
     hops = [op for op in schedule if isinstance(op, MoveOp)]
     assert moves == len(hops)
@@ -160,7 +167,12 @@ def test_disconnected_pairs_raise_the_same_error(name):
             machine = unchecked_machine(topology, capacity=4)
             state = CompilerState(machine, {src: [0]})
             schedule = Schedule()
-            router = Router(state, schedule, CompilerConfig.optimized())
+            router = Router(
+                state,
+                schedule,
+                CompilerConfig.optimized(),
+                upcoming_factory=lambda: future_view([]),
+            )
             with pytest.raises(TopologyError) as caught:
                 router.route(0, dst, ShuttleReason.GATE, frozenset())
             assert str(caught.value) == expected

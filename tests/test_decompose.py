@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-# repro.circuits.matrices is a numpy-only test oracle (no src module
-# imports it); numpy itself is an optional extra.
+# gate_matrices is a numpy-only test oracle; numpy itself is an
+# optional extra.
 pytest.importorskip("numpy")
 
 from repro.circuits.circuit import Circuit
@@ -16,7 +16,8 @@ from repro.circuits.decompose import (
     is_native,
 )
 from repro.circuits.gate import Gate
-from repro.circuits.matrices import (
+
+from gate_matrices import (
     allclose_up_to_phase,
     circuit_unitary,
     gate_matrix,

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.arch import linear_topology, uniform_machine
+from repro.arch import l6_machine, linear_topology, uniform_machine
 from repro.bench import qft_circuit, random_circuit
+from repro.bench.suite import nisq_suite
 from repro.circuits.circuit import Circuit
 from repro.compiler.config import CompilerConfig
 from repro.eval import (
@@ -190,3 +191,57 @@ class TestAblations:
         points = proximity_sweep(circuits, tiny_machine(), values=(6,))
         text = render_sweep(points, "proximity")
         assert "proximity" in text
+
+
+#: ``(label, mean_shuttles, std_shuttles, mean_reduction_percent)`` of
+#: every E4 point on the NISQ suite over L6, as the sweep computed them
+#: when it still called the compiler directly (before it ran its jobs
+#: through the batch engine).
+PROXIMITY_SWEEP_PINS = (
+    ('0', 632.0, 353.38859630723795, 1.502183406113537),
+    ('1', 531.2, 371.19900323142036, 19.510329774419194),
+    ('2', 519.2, 321.21908411549896, 19.231697063306505),
+    ('4', 496.8, 293.1598540046028, 21.932447337361154),
+    ('6', 516.6, 299.16182911594854, 19.099600669722832),
+    ('8', 517.0, 299.49290475735813, 19.05718285424033),
+    ('12', 526.0, 315.4813782143092, 18.271156653366965),
+    ('24', 529.4, 314.54538623225744, 17.55524779763734),
+    ('inf', 565.2, 401.0251862414629, 15.476024303773638),
+)
+
+#: The same for every E5 variant.
+HEURISTIC_ABLATION_PINS = (
+    ('baseline [7]', 649.2, 380.42568262408366, 0.0),
+    ('+future-ops', 527.2, 312.49111987382935, 18.027926092383918),
+    ('+reorder', 649.2, 380.42568262408366, 0.0),
+    ('+nn-rebalance', 632.0, 353.38859630723795, 1.502183406113537),
+    ('+max-score-ion', 649.2, 380.42568262408366, 0.0),
+    ('full (this work)', 516.6, 299.16182911594854, 19.099600669722832),
+    ('full -reorder', 512.6, 295.9793911744532, 19.523778824547858),
+    ('full -nn-rebalance', 549.4, 342.69709657363603, 15.228708880560157),
+    ('full -max-score-ion', 538.8, 339.46826066659014, 17.160736040901874),
+    ('full -capacity-guard', 505.2, 279.9860710821165, 9.329083154435432),
+    ('full +score-decay', 531.0, 348.98495669584383, 16.56248406322808),
+    ('full +cheap-evict', 597.8, 282.50610612869946, -8.610609224883138),
+    ('full, gate-metric', 581.4, 333.89414490224294, 9.311935905844134),
+)
+
+
+def sweep_rows(points):
+    return [
+        (p.label, p.mean_shuttles, p.std_shuttles, p.mean_reduction_percent)
+        for p in points
+    ]
+
+
+class TestAblationPins:
+    """The E4/E5 tables ``repro ablation`` prints, pinned point for
+    point on the paper's NISQ suite and the L6 machine."""
+
+    def test_proximity_sweep_on_nisq_suite(self):
+        points = proximity_sweep(nisq_suite(), l6_machine())
+        assert sweep_rows(points) == list(PROXIMITY_SWEEP_PINS)
+
+    def test_heuristic_ablation_on_nisq_suite(self):
+        points = heuristic_ablation(nisq_suite(), l6_machine())
+        assert sweep_rows(points) == list(HEURISTIC_ABLATION_PINS)

@@ -13,6 +13,8 @@ from repro.compiler.policies import (
 )
 from repro.compiler.state import CompilerState
 
+from future_util import future_view
+
 
 def two_trap_state(chains, capacity=4, comm=1):
     machine = uniform_machine(linear_topology(2), capacity, comm)
@@ -67,7 +69,7 @@ class TestExcessCapacityPolicy:
             a, b = gate.qubits
             if state.trap_of(a) == state.trap_of(b):
                 continue
-            decision = policy.decide(gate, state, [])
+            decision = policy.decide(gate, state, future_view([]))
             state.detach_ion(decision.ion)
             state.attach_ion(decision.ion, decision.dst)
             shuttles += 1
@@ -77,7 +79,7 @@ class TestExcessCapacityPolicy:
         state = fig4_state()
         gate = Gate("ms", (1, 2))
         assert ExcessCapacityPolicy().decide(
-            gate, state, []
+            gate, state, future_view([])
         ) == excess_capacity_decision(1, 2, state)
 
 
@@ -88,7 +90,7 @@ class TestFutureOpsScores:
         state = fig4_state()
         policy = FutureOpsPolicy(proximity=6, proximity_metric="gates")
         upcoming = fig4_program()[1:]  # gates B, C, D
-        scores = policy.move_scores(1, 2, state, upcoming)
+        scores = policy.move_scores(1, 2, state, future_view(upcoming))
         assert scores.a_to_b == 3  # ionA(A->B): C counts 1, B and D count 2
         assert scores.b_to_a == 1  # ionB(B->A): C counts 1
 
@@ -104,7 +106,9 @@ class TestFutureOpsScores:
             a, b = gate.qubits
             if state.trap_of(a) == state.trap_of(b):
                 continue
-            decision = policy.decide(gate, state, program[position + 1 :])
+            decision = policy.decide(
+                gate, state, future_view(program[position + 1 :])
+            )
             state.detach_ion(decision.ion)
             state.attach_ion(decision.ion, decision.dst)
             shuttles += 1
@@ -114,7 +118,9 @@ class TestFutureOpsScores:
         state = fig4_state()
         policy = FutureOpsPolicy(proximity=None)
         # A repeat of the same gate counts +1 on both scores.
-        scores = policy.move_scores(1, 2, state, [Gate("ms", (1, 2))])
+        scores = policy.move_scores(
+            1, 2, state, future_view([Gate("ms", (1, 2))])
+        )
         assert scores.a_to_b == 1
         assert scores.b_to_a == 1
 
@@ -130,7 +136,7 @@ class TestProximityCutoff:
         policy = FutureOpsPolicy(proximity=2, proximity_metric="gates")
         filler = [Gate("ms", (2, 3))] * 3  # gap of 3 > 2
         upcoming = filler + [Gate("ms", (0, 4))]
-        scores = policy.move_scores(0, 4, state, upcoming)
+        scores = policy.move_scores(0, 4, state, future_view(upcoming))
         assert scores.a_to_b == 0
         assert scores.b_to_a == 0
 
@@ -139,7 +145,7 @@ class TestProximityCutoff:
         policy = FutureOpsPolicy(proximity=3, proximity_metric="gates")
         filler = [Gate("ms", (2, 3))] * 3  # gap of exactly 3 <= 3
         upcoming = filler + [Gate("ms", (0, 5))]
-        scores = policy.move_scores(0, 4, state, upcoming)
+        scores = policy.move_scores(0, 4, state, future_view(upcoming))
         assert scores.a_to_b == 1  # partner 5 lives in trap B
 
     def test_layer_metric_cutoff(self):
@@ -147,7 +153,9 @@ class TestProximityCutoff:
         policy = FutureOpsPolicy(proximity=2, proximity_metric="layers")
         # Relevant gate 5 layers after the active gate: excluded.
         upcoming = [(Gate("ms", (0, 5)), 5)]
-        scores = policy.move_scores(0, 4, state, upcoming, active_layer=0)
+        scores = policy.move_scores(
+            0, 4, state, future_view(upcoming), active_layer=0
+        )
         assert scores.a_to_b == 0
 
     def test_layer_metric_chained_window(self):
@@ -160,7 +168,9 @@ class TestProximityCutoff:
             (Gate("ms", (0, 6)), 4),
             (Gate("ms", (0, 7)), 6),
         ]
-        scores = policy.move_scores(0, 4, state, upcoming, active_layer=0)
+        scores = policy.move_scores(
+            0, 4, state, future_view(upcoming), active_layer=0
+        )
         assert scores.a_to_b == 3
 
     def test_unbounded_proximity(self):
@@ -168,14 +178,14 @@ class TestProximityCutoff:
         policy = FutureOpsPolicy(proximity=None)
         filler = [Gate("ms", (2, 3))] * 50
         upcoming = filler + [Gate("ms", (0, 5))]
-        scores = policy.move_scores(0, 4, state, upcoming)
+        scores = policy.move_scores(0, 4, state, future_view(upcoming))
         assert scores.a_to_b == 1
 
     def test_proximity_zero_still_sees_adjacent(self):
         state = self.make_wide_state()
         policy = FutureOpsPolicy(proximity=0, proximity_metric="gates")
         upcoming = [Gate("ms", (0, 5)), Gate("ms", (2, 3)), Gate("ms", (0, 6))]
-        scores = policy.move_scores(0, 4, state, upcoming)
+        scores = policy.move_scores(0, 4, state, future_view(upcoming))
         assert scores.a_to_b == 1  # second relevant gate behind a gap
 
 
@@ -186,20 +196,24 @@ class TestDecideAndGuard:
             proximity=6, proximity_metric="gates", capacity_guard=0
         )
         decision = policy.decide(
-            Gate("ms", (1, 2)), state, fig4_program()[1:]
+            Gate("ms", (1, 2)), state, future_view(fig4_program()[1:])
         )
         assert decision == ShuttleDecision(ion=1, src=0, dst=1)
 
     def test_tie_falls_back_to_excess_capacity(self):
         state = fig4_state()
         policy = FutureOpsPolicy(proximity=6)
-        decision = policy.decide(Gate("ms", (1, 2)), state, [])
+        decision = policy.decide(
+            Gate("ms", (1, 2)), state, future_view([])
+        )
         assert decision == excess_capacity_decision(1, 2, state)
 
     def test_tie_first_ion_option(self):
         state = fig4_state()
         policy = FutureOpsPolicy(proximity=6, tie_break="first-ion")
-        decision = policy.decide(Gate("ms", (1, 2)), state, [])
+        decision = policy.decide(
+            Gate("ms", (1, 2)), state, future_view([])
+        )
         assert decision.ion == 1
 
     def test_capacity_guard_vetoes_tight_destination(self):
@@ -209,7 +223,7 @@ class TestDecideAndGuard:
             proximity=6, proximity_metric="gates", capacity_guard=1
         )
         decision = policy.decide(
-            Gate("ms", (1, 2)), state, fig4_program()[1:]
+            Gate("ms", (1, 2)), state, future_view(fig4_program()[1:])
         )
         assert decision == ShuttleDecision(ion=2, src=1, dst=0)
 
@@ -219,7 +233,9 @@ class TestDecideAndGuard:
             proximity=None, score_decay=0.5, proximity_metric="layers"
         )
         upcoming = [(Gate("ms", (1, 3)), 1), (Gate("ms", (1, 3)), 4)]
-        scores = policy.move_scores(1, 2, state, upcoming, active_layer=0)
+        scores = policy.move_scores(
+            1, 2, state, future_view(upcoming), active_layer=0
+        )
         assert scores.a_to_b == pytest.approx(0.5 + 0.5**4)
 
     def test_invalid_parameters(self):

@@ -13,6 +13,8 @@ from repro.compiler.rebalance import (
 )
 from repro.compiler.state import CompilationError, CompilerState
 
+from future_util import future_view
+
 
 def fig7_state():
     """Fig. 7's setup: L6 with T4 full.
@@ -92,7 +94,7 @@ class TestIonSelection:
         # empty, so use T3 as destination: partner 8 lives there.
         upcoming = [Gate("ms", (12, 8)), Gate("ms", (12, 9))]
         ion = select_ion_max_score(
-            state, 4, 3, frozenset(), upcoming, window=16
+            state, 4, 3, frozenset(), future_view(upcoming), window=16
         )
         assert ion == 12
 
@@ -101,7 +103,7 @@ class TestIonSelection:
         # Ion 11 has gates inside T4 (partner 12): keep it there.
         upcoming = [Gate("ms", (11, 12)), Gate("ms", (11, 13))]
         ion = select_ion_max_score(
-            state, 4, 3, frozenset(), upcoming, window=16
+            state, 4, 3, frozenset(), future_view(upcoming), window=16
         )
         assert ion != 11
 
@@ -109,11 +111,13 @@ class TestIonSelection:
         state = fig7_state()
         # dest_count > source_count: positive score
         _, score = max_score_with_value(
-            state, 4, 3, frozenset(), [Gate("ms", (12, 8))], 16
+            state, 4, 3, frozenset(), future_view([Gate("ms", (12, 8))]), 16
         )
         assert score > 0
         # no gates at all: score 0 under the tie weights
-        _, score0 = max_score_with_value(state, 4, 3, frozenset(), [], 16)
+        _, score0 = max_score_with_value(
+            state, 4, 3, frozenset(), future_view([]), 16
+        )
         assert score0 == 0.0
 
     def test_tie_weights_give_negative_score(self):
@@ -124,7 +128,7 @@ class TestIonSelection:
         eligible = {
             ion: max_score_with_value(
                 state, 4, 3, frozenset({i for i in range(11, 16) if i != ion}),
-                upcoming, 16,
+                future_view(upcoming), 16,
             )[1]
             for ion in [counts_equal_ion]
         }
@@ -136,7 +140,7 @@ class TestIonSelection:
         upcoming = filler + [Gate("ms", (12, 8))]
         # window smaller than the filler: the informative gate is unseen
         ion = select_ion_max_score(
-            state, 4, 3, frozenset(), upcoming, window=5
+            state, 4, 3, frozenset(), future_view(upcoming), window=5
         )
         assert ion == 11  # falls back to first (all scores equal)
 
@@ -145,7 +149,7 @@ class TestIonSelection:
         # Partner 99 is not mapped anywhere (in transit): no crash.
         upcoming = [Gate("ms", (12, 99))]
         ion = select_ion_max_score(
-            state, 4, 3, frozenset(), upcoming, window=16
+            state, 4, 3, frozenset(), future_view(upcoming), window=16
         )
         assert ion in state.chains[4] or ion in range(11, 16)
 
@@ -159,7 +163,7 @@ class TestSelectEviction:
             strategy="nearest",
             ion_selection="max-score",
             pinned=frozenset(),
-            upcoming=[Gate("ms", (12, 8))],
+            upcoming=future_view([Gate("ms", (12, 8))]),
             window=16,
         )
         assert destination == 3
@@ -173,6 +177,6 @@ class TestSelectEviction:
                 strategy="nearest",
                 ion_selection="nope",
                 pinned=frozenset(),
-                upcoming=[],
+                upcoming=future_view([]),
                 window=16,
             )

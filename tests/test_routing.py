@@ -10,6 +10,8 @@ from repro.compiler.state import CompilationError, CompilerState
 from repro.core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp
 from repro.sim.schedule import Schedule
 
+from future_util import future_view
+
 
 def make_router(chains, traps=4, capacity=3, comm=1, config=None, upcoming=()):
     machine = uniform_machine(linear_topology(traps), capacity, comm)
@@ -19,7 +21,7 @@ def make_router(chains, traps=4, capacity=3, comm=1, config=None, upcoming=()):
         state,
         schedule,
         config or CompilerConfig.optimized(),
-        upcoming_factory=lambda: list(upcoming),
+        upcoming_factory=lambda: future_view(upcoming),
     )
     return router, state, schedule
 
