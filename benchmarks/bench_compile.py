@@ -71,9 +71,8 @@ REPEATS = 3
 #: Multiplicative slack on the "no worse" assertions: wall-clock
 #: comparisons against a recording from another process run need head
 #: room for CPU scheduling noise.  Host speed itself is taken out by
-#: the reference loop (see the module docstring); ``REPRO_BENCH_SLACK``
-#: widens the gate where the remaining noise is larger.
-NO_WORSE_SLACK = float(os.environ.get("REPRO_BENCH_SLACK", "1.25"))
+#: the reference loop (see the module docstring).
+NO_WORSE_SLACK = 1.25
 
 #: Required compile speedup over the baseline's ``pre_index`` recording
 #: (the compiler that rescanned the pending tail per decision, before

@@ -17,16 +17,14 @@ Hard guarantees asserted here:
   latency-histogram counts (the registry's order-independence
   property, end to end through the harness),
 * the serial run's wall time is no worse than the baseline within
-  :data:`NO_WORSE_SLACK` (widen via ``REPRO_BENCH_SLACK`` on slow
-  shared runners, as with ``bench_compile.py``),
+  :data:`NO_WORSE_SLACK` (the same 25% as ``bench_compile.py``),
 * the pinned run trips no soak detector (it is far too short for the
   trend checks to conclude, and the memory check must stay
   inconclusive below its span floor rather than extrapolating noise),
 * the resilience machinery is inert when armed but uninjected: a
   supervised run with retry + timeout set (no chaos plan) costs within
   :data:`RESILIENCE_SLACK` of the default, unarmed supervised run on
-  the same jobs and produces bit-identical schedules (widen via
-  ``REPRO_RESILIENCE_SLACK`` on noisy shared runners).
+  the same jobs and produces bit-identical schedules.
 
 Run with ``pytest benchmarks/bench_load.py``.
 """
@@ -44,12 +42,11 @@ BASELINE_PATH = os.path.join(
     "BENCH_load_baseline.json",
 )
 
-NO_WORSE_SLACK = float(os.environ.get("REPRO_BENCH_SLACK", "1.25"))
+NO_WORSE_SLACK = 1.25
 
 #: Allowed overhead of arming retry + timeout (uninjected) over the
-#: default, unarmed supervised path (a <=5% inertness budget).  Widen via
-#: ``REPRO_RESILIENCE_SLACK`` on noisy shared runners.
-RESILIENCE_SLACK = float(os.environ.get("REPRO_RESILIENCE_SLACK", "1.05"))
+#: default, unarmed supervised path (a <=5% inertness budget).
+RESILIENCE_SLACK = 1.05
 
 #: Interleaved A/B repetitions for the inertness gate (minima compared,
 #: as in ``bench_compile.py``'s obs overhead gate).

@@ -17,7 +17,7 @@ from .topology import (
     linear_topology,
     ring_topology,
 )
-from .trap import TrapError, TrapSpec, TrapState
+from .trap import TrapError, TrapSpec
 
 __all__ = [
     "L6_CAPACITY",
@@ -27,7 +27,6 @@ __all__ = [
     "TopologyError",
     "TrapError",
     "TrapSpec",
-    "TrapState",
     "TrapTopology",
     "grid_machine",
     "grid_topology",

@@ -9,16 +9,18 @@ A trap confines a chain of ions.  Two capacities govern scheduling:
   ions per trap; during execution occupancy may grow up to ``capacity``.
 
 *Excess capacity* (EC) = ``capacity - occupancy`` is the quantity both
-shuttle-direction policies and the re-balancing logic reason about.
+shuttle-direction policies and the re-balancing logic reason about; the
+runtime chains it is computed from live in
+:class:`~repro.core.state.MachineState`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TrapError(ValueError):
-    """Raised on invalid trap configuration or chain operations."""
+    """Raised on invalid trap configuration or an oversized load."""
 
 
 @dataclass(frozen=True)
@@ -53,68 +55,3 @@ class TrapSpec:
     def load_capacity(self) -> int:
         """Ions the initial mapping may place here (capacity - comm)."""
         return self.capacity - self.comm_capacity
-
-
-@dataclass
-class TrapState:
-    """Mutable runtime state of one trap: its ion chain and motional mode.
-
-    ``chain`` preserves physical ion order; new ions merge at the end
-    closest to their entry edge in the full machine-state model, but chain
-    order is tracked here as a plain list (append = merge).
-
-    ``nbar`` is the chain's average motional-mode occupation (quanta);
-    it is the `n̄` in the paper's fidelity model ``F = 1 - Γτ - A(2n̄+1)``.
-    """
-
-    spec: TrapSpec
-    chain: list[int] = field(default_factory=list)
-    nbar: float = 0.0
-    clock: float = 0.0  # local time in seconds; traps run in parallel
-
-    @property
-    def trap_id(self) -> int:
-        """Index of this trap."""
-        return self.spec.trap_id
-
-    @property
-    def occupancy(self) -> int:
-        """Number of ions currently in the trap."""
-        return len(self.chain)
-
-    @property
-    def excess_capacity(self) -> int:
-        """EC = total capacity - occupancy (Section II-B1)."""
-        return self.spec.capacity - len(self.chain)
-
-    @property
-    def is_full(self) -> bool:
-        """True when no further ion can merge into this trap."""
-        return len(self.chain) >= self.spec.capacity
-
-    def add_ion(self, ion: int, position: int | None = None) -> None:
-        """Merge an ion into the chain (at ``position``, default end)."""
-        if self.is_full:
-            raise TrapError(
-                f"trap {self.trap_id} is full "
-                f"({self.occupancy}/{self.spec.capacity})"
-            )
-        if ion in self.chain:
-            raise TrapError(f"ion {ion} already in trap {self.trap_id}")
-        if position is None:
-            self.chain.append(ion)
-        else:
-            self.chain.insert(position, ion)
-
-    def remove_ion(self, ion: int) -> None:
-        """Split an ion out of the chain."""
-        try:
-            self.chain.remove(ion)
-        except ValueError as exc:
-            raise TrapError(
-                f"ion {ion} not in trap {self.trap_id}"
-            ) from exc
-
-    def copy(self) -> "TrapState":
-        """Deep copy (chain list duplicated)."""
-        return TrapState(self.spec, list(self.chain), self.nbar, self.clock)

@@ -18,7 +18,7 @@ in ``tests/test_decompose.py``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .circuit import Circuit
 from .gate import Gate
@@ -138,14 +138,6 @@ def decompose_circuit(circuit: Circuit, keep_one_qubit: bool = True) -> Circuit:
             if keep_one_qubit or not native.is_one_qubit:
                 out.append(native)
     return out
-
-
-def count_native_two_qubit(gates: Iterable[Gate]) -> int:
-    """Number of MS gates after native decomposition."""
-    total = 0
-    for gate in gates:
-        total += sum(1 for g in decompose_gate(gate) if g.is_two_qubit)
-    return total
 
 
 # ----------------------------------------------------------------------

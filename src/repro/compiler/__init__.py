@@ -1,5 +1,6 @@
 """Shuttle-aware QCCD compiler: baseline [7] and this-work configurations."""
 
+from ..core.errors import CompilationError
 from .compiler import QCCDCompiler, compile_and_simulate, compile_circuit
 from .config import DEFAULT_PROXIMITY, CompilerConfig
 from .future_index import FutureGateIndex, FutureView
@@ -18,13 +19,11 @@ from .policies import (
     excess_capacity_decision,
 )
 from .result import CompilationResult
-from .state import CompilationError, CompilerState
 
 __all__ = [
     "CompilationError",
     "CompilationResult",
     "CompilerConfig",
-    "CompilerState",
     "DEFAULT_PROXIMITY",
     "ExcessCapacityPolicy",
     "FutureGateIndex",

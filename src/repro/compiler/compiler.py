@@ -35,8 +35,10 @@ from contextlib import nullcontext
 from ..arch.machine import QCCDMachine
 from ..circuits.circuit import Circuit
 from ..circuits.dag import DependencyDAG
+from ..core.errors import CompilationError, MachineModelError
 from ..core.ops import GateOp, ShuttleReason
 from ..core.params import DEFAULT_PARAMS, MachineParams
+from ..core.state import MachineState
 from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
 from .config import CompilerConfig
@@ -46,7 +48,6 @@ from .policies import ShuttleDecision, make_policy
 from .reorder import find_reorder_candidate
 from .result import CompilationResult
 from .routing import Router
-from .state import CompilationError, CompilerState
 
 
 class QCCDCompiler:
@@ -162,6 +163,10 @@ class QCCDCompiler:
         counters, and — with tracing on — per-decision events.  The
         instrumentation only reads compiler state: the emitted schedule
         is bit-identical with observability off and on.
+
+        A machine rule the emission runs into — an overfull, duplicate
+        or unmapped placement — raises :class:`CompilationError`; the
+        optimize passes keep their own error types.
         """
         obs = _obs_active()
         if obs is None:
@@ -169,19 +174,22 @@ class QCCDCompiler:
         with obs.spans.span("compile"):
             return self._compile(circuit, initial_chains, obs)
 
-    def _compile(
+    def _emit(
         self,
-        circuit: Circuit,
-        initial_chains: dict[int, list[int]] | None,
+        future: FutureGateIndex,
+        initial_chains: dict[int, list[int]],
         obs,
-    ) -> CompilationResult:
-        start_time = time.perf_counter()
-        future = _compile_plan(circuit).fork()
+        start_time: float,
+    ) -> tuple[MachineState, Schedule, list[int], int, int]:
+        """Schedule every gate of ``future``'s pending tail from the
+        ``initial_chains`` placement, emitting gate and shuttle ops.
+
+        Returns the final machine state, the raw schedule, the executed
+        gate order and the re-order and re-balance counts.
+        """
         dag = future.dag
         pending = future.pending
-        if initial_chains is None:
-            initial_chains = greedy_initial_mapping(circuit, self.machine)
-        state = CompilerState(self.machine, initial_chains)
+        state = MachineState(self.machine, initial_chains)
         schedule = Schedule()
 
         gate_order: list[int] = []
@@ -219,7 +227,7 @@ class QCCDCompiler:
         # list.  Gate qubits are never negative, so an IndexError or a
         # negative entry is exactly where ``trap_of`` raises, and the
         # fallbacks below ask it to raise there.
-        lookup = state._lookup
+        lookup = state._trap_of
         with loop_span:
             while pos < len(pending):
                 index = pending[pos]
@@ -372,10 +380,33 @@ class QCCDCompiler:
                 gate_order.append(index)
                 future.mark_executed(index, True)
                 pos += 1
+        return state, schedule, gate_order, num_reorders, router.num_rebalances
+
+    def _compile(
+        self,
+        circuit: Circuit,
+        initial_chains: dict[int, list[int]] | None,
+        obs,
+    ) -> CompilationResult:
+        start_time = time.perf_counter()
+        future = _compile_plan(circuit).fork()
+        if initial_chains is None:
+            initial_chains = greedy_initial_mapping(circuit, self.machine)
+        try:
+            state, schedule, gate_order, num_reorders, num_rebalances = (
+                self._emit(future, initial_chains, obs, start_time)
+            )
+        except CompilationError:
+            raise
+        except MachineModelError as exc:
+            # The emission boundary: the kernel state reports a broken
+            # placement rule under its own type; the compiler's callers
+            # catch CompilationError.
+            raise CompilationError(str(exc)) from None
 
         pass_stats: tuple = ()
         raw_num_shuttles = raw_num_ops = None
-        final_chains = state.snapshot_chains()
+        final_chains = state.chains_dict()
         if self.config.post_passes:
             # Post-compilation optimization (repro.passes): rewrite the
             # emitted stream, verifying legality + circuit equivalence
@@ -409,7 +440,7 @@ class QCCDCompiler:
             metrics.inc("compile.shuttles", schedule.num_shuttles)
             metrics.inc("compile.ops", len(schedule))
             metrics.inc("compile.reorders", num_reorders)
-            metrics.inc("compile.rebalances", router.num_rebalances)
+            metrics.inc("compile.rebalances", num_rebalances)
             metrics.inc("compile.mapping_epochs", state.epoch)
             metrics.inc(
                 "compile.index.decision_points", future.num_decision_points
@@ -425,7 +456,7 @@ class QCCDCompiler:
             final_chains=final_chains,
             gate_order=gate_order,
             num_reorders=num_reorders,
-            num_rebalances=router.num_rebalances,
+            num_rebalances=num_rebalances,
             compile_time=compile_time,
             pass_stats=pass_stats,
             raw_num_shuttles=raw_num_shuttles,

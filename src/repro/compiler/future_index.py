@@ -36,8 +36,8 @@ what makes the per-ion walk exact rather than approximate.
 The index also hosts the per-``(gate, mapping-epoch)`` move-score memo
 (:attr:`score_memo`): ``favoured``, ``_score_margin`` and ``decide``
 all need the same scores for the active gate, and the
-:class:`~repro.compiler.state.CompilerState` epoch counter tells the
-memo precisely when a shuttle has invalidated them.
+:attr:`~repro.core.state.MachineState.epoch` counter tells the memo
+precisely when a shuttle has invalidated them.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..arch.machine import QCCDMachine
 from ..circuits.circuit import Circuit
-from .state import CompilationError
+from ..core.errors import CompilationError
 
 
 def greedy_initial_mapping(

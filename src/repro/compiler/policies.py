@@ -30,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..circuits.gate import Gate
+from ..core.state import MachineState
 from .future_index import FutureView
-from .state import CompilerState
+
 
 @dataclass(frozen=True)
 class ShuttleDecision:
@@ -51,7 +52,7 @@ class MoveScores:
 
 
 def excess_capacity_decision(
-    ion_a: int, ion_b: int, state: CompilerState
+    ion_a: int, ion_b: int, state: MachineState
 ) -> ShuttleDecision:
     """Listing 1 of [7], verbatim semantics.
 
@@ -62,7 +63,7 @@ def excess_capacity_decision(
     """
     trap0 = state.trap_of(ion_a)
     trap1 = state.trap_of(ion_b)
-    capacities = state._capacities
+    capacities = state.capacities
     chains = state.chains
     ec0 = capacities[trap0] - len(chains[trap0])
     ec1 = capacities[trap1] - len(chains[trap1])
@@ -81,7 +82,7 @@ class ExcessCapacityPolicy:
     def decide(
         self,
         gate: Gate,
-        state: CompilerState,
+        state: MachineState,
         upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
@@ -92,7 +93,7 @@ class ExcessCapacityPolicy:
     def favoured(
         self,
         gate: Gate,
-        state: CompilerState,
+        state: MachineState,
         upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
@@ -164,7 +165,7 @@ class FutureOpsPolicy:
         self,
         ion_a: int,
         ion_b: int,
-        state: CompilerState,
+        state: MachineState,
         upcoming: FutureView,
         active_layer: int | None = None,
     ) -> MoveScores:
@@ -209,7 +210,7 @@ class FutureOpsPolicy:
         # trap list: partners are circuit qubits (never negative), so
         # an IndexError or a negative entry is exactly where trap_of
         # would raise, and it is asked to raise there.
-        lookup = state._lookup
+        lookup = state._trap_of
         score_ab = 0.0
         score_ba = 0.0
         proximity = self.proximity
@@ -283,7 +284,7 @@ class FutureOpsPolicy:
                 except IndexError:
                     partner_trap = -1
                 if partner_trap < 0:
-                    state.trap_of(partner)  # raises CompilationError
+                    state.trap_of(partner)  # raises "not mapped"
                 if partner_trap == trap_b:
                     score_ab += weight
                 if partner_trap == trap_a:
@@ -296,7 +297,7 @@ class FutureOpsPolicy:
                 except IndexError:
                     partner_trap = -1
                 if partner_trap < 0:
-                    state.trap_of(partner)  # raises CompilationError
+                    state.trap_of(partner)  # raises "not mapped"
                 if partner_trap == trap_b:
                     score_ab += weight
                 if partner_trap == trap_a:
@@ -310,7 +311,7 @@ class FutureOpsPolicy:
     def favoured(
         self,
         gate: Gate,
-        state: CompilerState,
+        state: MachineState,
         upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:
@@ -336,7 +337,7 @@ class FutureOpsPolicy:
     def decide(
         self,
         gate: Gate,
-        state: CompilerState,
+        state: MachineState,
         upcoming: FutureView,
         active_layer: int | None = None,
     ) -> ShuttleDecision:

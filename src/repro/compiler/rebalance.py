@@ -21,6 +21,8 @@ another trap with excess capacity.  Two choices parameterize this:
 
 from __future__ import annotations
 
+from ..core.errors import CompilationError
+from ..core.state import MachineState
 from .config import (
     DEFAULT_WEIGHT_DEST,
     DEFAULT_WEIGHT_SOURCE,
@@ -28,11 +30,10 @@ from .config import (
     TIE_WEIGHT_SOURCE,
 )
 from .future_index import FutureView
-from .state import CompilationError, CompilerState
 
 
 def select_destination_trap(
-    state: CompilerState,
+    state: MachineState,
     source_trap: int,
     strategy: str,
     exclude: frozenset[int] = frozenset(),
@@ -65,7 +66,7 @@ def select_destination_trap(
 
 
 def select_ion_chain_head(
-    state: CompilerState, source_trap: int, pinned: frozenset[int]
+    state: MachineState, source_trap: int, pinned: frozenset[int]
 ) -> int:
     """Naive eviction: first ion of the chain not pinned in place."""
     for ion in state.chains[source_trap]:
@@ -77,7 +78,7 @@ def select_ion_chain_head(
 
 
 def select_ion_max_score(
-    state: CompilerState,
+    state: MachineState,
     source_trap: int,
     destination_trap: int,
     pinned: frozenset[int],
@@ -99,7 +100,7 @@ def select_ion_max_score(
 
 
 def max_score_with_value(
-    state: CompilerState,
+    state: MachineState,
     source_trap: int,
     destination_trap: int,
     pinned: frozenset[int],
@@ -135,7 +136,7 @@ def max_score_with_value(
     # Direct reads of the ion -> trap list.  Where trap_of would raise
     # (too short a list, or a negative entry: the partner is in
     # transit) the partner matches neither trap.
-    lookup = state._lookup
+    lookup = state._trap_of
     best_ion = eligible[0]
     best_score = float("-inf")
     for ion in eligible:
@@ -170,7 +171,7 @@ def max_score_with_value(
 
 
 def select_eviction(
-    state: CompilerState,
+    state: MachineState,
     source_trap: int,
     strategy: str,
     ion_selection: str,

@@ -14,15 +14,15 @@ from collections.abc import Callable, Sequence
 
 from ..circuits.dag import DependencyDAG
 from ..circuits.gate import Gate
+from ..core.state import MachineState
 from .future_index import FutureGateIndex, FutureView
-from .state import CompilerState
 
 
 def find_reorder_candidate(
     pending: Sequence[int],
     active_pos: int,
     dag: DependencyDAG,
-    state: CompilerState,
+    state: MachineState,
     decide: Callable[[Gate, FutureView, int], "object"],
     old_destination: int,
     future: FutureGateIndex,

@@ -14,13 +14,14 @@ from collections.abc import Callable
 from time import perf_counter
 
 from ..arch.topology import TopologyError
+from ..core.errors import CompilationError
 from ..core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
+from ..core.state import MachineState
 from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
 from .config import CompilerConfig
 from .future_index import FutureView
 from .rebalance import max_score_with_value, select_eviction
-from .state import CompilationError, CompilerState
 
 #: Upper bound on nested traffic-block resolutions; generous compared to
 #: any sane machine (each level frees one slot in a distinct full trap).
@@ -28,7 +29,7 @@ _MAX_RESOLVE_DEPTH = 64
 
 
 class Router:
-    """Emits shuttle ops into a schedule while updating compiler state.
+    """Emits shuttle ops into a schedule while updating the machine state.
 
     Parameters
     ----------
@@ -47,7 +48,7 @@ class Router:
 
     def __init__(
         self,
-        state: CompilerState,
+        state: MachineState,
         schedule: Schedule,
         config: CompilerConfig,
         upcoming_factory: Callable[[], FutureView],

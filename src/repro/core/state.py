@@ -2,11 +2,11 @@
 
 :class:`MachineState` is the one implementation of the machine's
 op-application rules — ion placement, trap capacity, transit
-discipline, in-chain adjacency, shuttle connectivity.  The compiler's
-forward state, the simulator, the schedule verifier and the pass
-manager's replay loops all delegate to it (directly or through thin
-façades), so a rule exists in exactly one place and every layer agrees
-on legality by construction.
+discipline, in-chain adjacency, shuttle connectivity.  The compiler
+builds and mutates one directly; the simulator, the schedule verifier
+and the pass manager's replay loops drive one through
+:meth:`MachineState.apply`.  A rule exists in exactly one place and
+every layer agrees on legality by construction.
 
 Layout is chosen for the replay hot path:
 
@@ -83,6 +83,7 @@ class MachineState:
         "_transit",
         "_num_in_transit",
         "_edges",
+        "epoch",
     )
 
     def __init__(
@@ -101,6 +102,13 @@ class MachineState:
         self._trap_of: list[int] = [NOWHERE] * (max_ion + 1)
         self._transit: list[int] = [NOWHERE] * (max_ion + 1)
         self._num_in_transit = 0
+        #: Mapping epoch: bumped by each compiler mutation
+        #: (:meth:`detach_ion`, :meth:`attach_ion`,
+        #: :meth:`swap_adjacent`), never by :meth:`apply`.  Anything
+        #: derived from ion placement (the future-gate index's
+        #: move-score memo) keys on it, so a shuttle invalidates exactly
+        #: the memo entries it should and nothing else.
+        self.epoch = 0
 
         trap_of = self._trap_of
         for spec in machine.traps:
@@ -130,18 +138,16 @@ class MachineState:
 
     def trap_of(self, ion: int) -> int:
         """Trap currently holding ``ion``; raises when it is in transit
-        or not on the machine at all."""
-        trap = self.location(ion)
-        if trap == NOWHERE:
-            raise MachineModelError(f"ion {ion} is not mapped")
-        return trap
+        or not on the machine at all.
 
-    def location(self, ion: int) -> int:
-        """Trap holding ``ion``, or :data:`NOWHERE` (no exception)."""
+        One frame, no delegation: the compiler's shuttle policies call
+        this on every decision."""
         trap_of = self._trap_of
         if 0 <= ion < len(trap_of):
-            return trap_of[ion]
-        return NOWHERE
+            trap = trap_of[ion]
+            if trap >= 0:
+                return trap
+        raise MachineModelError(f"ion {ion} is not mapped")
 
     def transit_location(self, ion: int) -> int:
         """Trap an in-transit ``ion`` is parked beside, or NOWHERE."""
@@ -229,6 +235,7 @@ class MachineState:
         twin._trap_of = list(self._trap_of)
         twin._transit = list(self._transit)
         twin._num_in_transit = self._num_in_transit
+        twin.epoch = self.epoch
         return twin
 
     def matches(self, other: "MachineState | Checkpoint") -> bool:
@@ -273,6 +280,7 @@ class MachineState:
         trap = self.trap_of(ion)
         self.chains[trap].remove(ion)
         self._trap_of[ion] = NOWHERE
+        self.epoch += 1
         return trap
 
     def attach_ion(
@@ -299,6 +307,7 @@ class MachineState:
         else:
             chain.insert(position, ion)
         self._trap_of[ion] = trap
+        self.epoch += 1
 
     def swap_adjacent(self, trap: int, index: int) -> tuple[int, int]:
         """Exchange the chain neighbours at ``index`` and ``index + 1``;
@@ -309,6 +318,7 @@ class MachineState:
                 f"no adjacent pair at position {index} in trap {trap}"
             )
         chain[index], chain[index + 1] = chain[index + 1], chain[index]
+        self.epoch += 1
         return chain[index], chain[index + 1]
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ output is accepted.  See :class:`PassManager` for the pipeline driver
 and :mod:`repro.passes.registry` for the pass catalogue.
 """
 
-from .base import Excursion, PassContext, SchedulePass, estimate_makespan
+from .base import Excursion, PassContext, SchedulePass
 from .elide import RoundTripElision
 from .fuse import MergeSplitFusion
 from .manager import (
@@ -52,7 +52,6 @@ __all__ = [
     "SchedulePass",
     "VerificationError",
     "available_passes",
-    "estimate_makespan",
     "gate_multiset",
     "is_legal",
     "make_passes",

@@ -14,12 +14,6 @@ pass needs:
   chains into :class:`Excursion` records (one per trip between traps),
 * :func:`gate_indices_by_ion` / :func:`has_gate_on_ion_between` — fast
   "did a gate touch this ion inside this window?" queries,
-* :func:`occupancy_timeline` / :func:`occupancy_at` — trap-occupancy
-  queries over the stream, delegating to the kernel's
-  :class:`~repro.core.observers.OccupancyTraceObserver`,
-* :func:`estimate_makespan` — the kernel's timing-only clock replay
-  (gates serial per trap, moves synchronize endpoints) used by passes
-  that optimize duration rather than op counts,
 * :class:`SpliceEditor` — the bridge between a pass's speculative
   edits (delete these indices, insert these ops) and the kernel's
   incremental verification engine
@@ -36,11 +30,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..arch.machine import QCCDMachine
-from ..core.observers import OccupancyTraceObserver
-from ..core.observers import estimate_makespan as _kernel_makespan
-from ..core.observers import occupancy_at as _kernel_occupancy_at
 from ..core.ops import GateOp, MachineOp, MergeOp, MoveOp, SplitOp, SwapOp
-from ..core.params import TimingParams
 from ..core.replaying import CheckpointedReplay
 from ..sim.schedule import Schedule
 
@@ -172,48 +162,6 @@ def has_gate_on_ion_between(
     return bisect_left(positions, hi) > bisect_right(positions, lo)
 
 
-def occupancy_timeline(
-    ops: Sequence[MachineOp],
-) -> list[tuple[int, int, int]]:
-    """Occupancy deltas as (stream index, trap, delta) events.
-
-    Transit ions occupy no trap (matching the kernel); only splits and
-    merges change occupancy.  Delegates to the kernel's
-    :class:`~repro.core.observers.OccupancyTraceObserver`.
-    """
-    return OccupancyTraceObserver.events_of(ops)
-
-
-def occupancy_at(
-    events: Sequence[tuple[int, int, int]],
-    machine: QCCDMachine,
-    initial_chains: dict[int, list[int]],
-    position: int,
-) -> list[int]:
-    """Per-trap ion counts just before stream index ``position``."""
-    return _kernel_occupancy_at(
-        events,
-        (len(initial_chains.get(t, [])) for t in range(machine.num_traps)),
-        position,
-    )
-
-
-def estimate_makespan(
-    machine: QCCDMachine,
-    schedule: Schedule,
-    timing: TimingParams | None = None,
-) -> float:
-    """Makespan of a (legal) schedule under the kernel's clock model.
-
-    Gates and split/merge/swap ops advance their trap's clock; a move
-    synchronizes both endpoint clocks then advances them together.
-    Noise is irrelevant to timing, so this is a cheap scalar objective
-    for duration-oriented passes.  Delegates to the kernel's
-    :class:`~repro.core.observers.ClockObserver` fast scan.
-    """
-    return _kernel_makespan(machine.num_traps, schedule, timing)
-
-
 class SpliceEditor:
     """Verify-and-commit speculative edits through the splice engine.
 
@@ -228,9 +176,11 @@ class SpliceEditor:
     O(window + √N) instead of O(schedule) — and commits accepted
     edits so later trials verify against the up-to-date stream.
 
-    The candidate streams submitted to the engine are, by
-    construction, exactly the ones :func:`rebuild` + full replay used
-    to produce, so accept/revert decisions are unchanged.
+    Each candidate stream submitted to the engine is, by construction,
+    the edited stream materialized in full (deleted indices dropped,
+    insertions emitted before their anchor), so accept/revert decisions
+    are the ones a full replay would reach; the materializing oracle
+    lives in ``tests/test_incremental_replay.py``.
 
     ``schedule`` tracks the engine's current stream as a
     :class:`~repro.sim.schedule.Schedule`, advanced through
@@ -331,33 +281,3 @@ class SpliceEditor:
                 self._ins_prefix.append(total)
         return True
 
-
-def rebuild(
-    ops: Sequence[MachineOp],
-    deleted: set[int],
-    insertions: dict[int, list[MachineOp]] | None = None,
-) -> Schedule:
-    """Materialize an edited op stream.
-
-    ``deleted`` indices are dropped; ``insertions[i]`` ops are emitted
-    at position ``i`` (before the original op there, which is normally
-    itself deleted).
-
-    This is the *reference implementation* of the edit semantics the
-    passes used to verify with a full replay per candidate.
-    :class:`SpliceEditor` reproduces exactly these streams through the
-    incremental engine — the property suite
-    (``tests/test_incremental_replay.py``) uses ``rebuild`` as the
-    ground truth when constructing candidates to compare against.
-    """
-    out: list[MachineOp] = []
-    for index, op in enumerate(ops):
-        if insertions and index in insertions:
-            out.extend(insertions[index])
-        if index not in deleted:
-            out.append(op)
-    if insertions:
-        tail = insertions.get(len(ops))
-        if tail:
-            out.extend(tail)
-    return Schedule(out)

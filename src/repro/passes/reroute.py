@@ -30,9 +30,8 @@ from .base import (
     SchedulePass,
     SpliceEditor,
     extract_excursions,
-    occupancy_at,
-    occupancy_timeline,
 )
+from ..core.observers import OccupancyTraceObserver, occupancy_at
 from ..core.ops import MoveOp
 from ..obs import active as _obs_active
 from ..sim.schedule import Schedule
@@ -85,7 +84,11 @@ class RouteReselection(SchedulePass):
             return schedule, 0
 
         ops = list(schedule.ops)
-        events = occupancy_timeline(ops)
+        events = OccupancyTraceObserver.events_of(ops)
+        initial_occupancy = [
+            len(ctx.initial_chains.get(t, []))
+            for t in range(machine.num_traps)
+        ]
         editor = SpliceEditor(schedule, ctx)
         rewrites = 0
 
@@ -108,7 +111,7 @@ class RouteReselection(SchedulePass):
             if len(alternatives) < 2:
                 continue
             occupancy = occupancy_at(
-                events, machine, ctx.initial_chains, trip.split_index
+                events, initial_occupancy, trip.split_index
             )
 
             def congestion(path: list[int]) -> int:

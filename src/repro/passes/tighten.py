@@ -42,7 +42,7 @@ in the candidate, the tail cannot make it finish sooner (clock updates
 are monotone, even under float rounding — DESIGN.md §15), and the
 candidate is rejected at once.  Clock restoration is float-exact, so
 every accept/reject decision (and the final stream) matches what a
-from-scratch :func:`~repro.passes.base.estimate_makespan` per
+from-scratch :func:`~repro.core.observers.estimate_makespan` per
 candidate used to produce.
 """
 

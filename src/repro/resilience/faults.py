@@ -124,11 +124,6 @@ class FaultPlan:
                 f"got {self.max_faults_per_job}"
             )
 
-    @property
-    def worker_fault_rate(self) -> float:
-        """Total per-attempt probability of any worker-side fault."""
-        return self.error_rate + self.crash_rate + self.stall_rate
-
     def decide(self, key: str, attempt: int) -> str | None:
         """The worker-side fault for ``(key, attempt)``, or ``None``.
 

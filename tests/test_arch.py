@@ -6,7 +6,6 @@ from repro.arch import (
     QCCDMachine,
     TrapError,
     TrapSpec,
-    TrapState,
     TrapTopology,
     grid_machine,
     grid_topology,
@@ -20,6 +19,7 @@ from repro.arch import (
 )
 from repro.arch.presets import machine_from_spec, spec_num_traps
 from repro.arch.topology import TopologyError
+from repro.core import MachineModelError, MachineState
 
 
 class TestTrapSpec:
@@ -39,43 +39,47 @@ class TestTrapSpec:
 
 
 class TestTrapState:
-    def spec(self):
-        return TrapSpec(trap_id=0, capacity=3, comm_capacity=1)
+    """A trap's runtime chain lives in the kernel's
+    :class:`~repro.core.state.MachineState`: the per-trap chain rules."""
+
+    def state(self, chain=()):
+        machine = uniform_machine(linear_topology(2), 3, 1)
+        return MachineState(machine, {0: list(chain)})
 
     def test_add_remove(self):
-        state = TrapState(self.spec())
-        state.add_ion(5)
-        assert state.occupancy == 1
-        assert state.excess_capacity == 2
-        state.remove_ion(5)
-        assert state.occupancy == 0
+        state = self.state()
+        state.attach_ion(5, 0)
+        assert state.occupancy(0) == 1
+        assert state.excess_capacity(0) == 2
+        assert state.detach_ion(5) == 0
+        assert state.occupancy(0) == 0
 
     def test_full_rejects_add(self):
-        state = TrapState(self.spec(), chain=[1, 2, 3])
-        assert state.is_full
-        with pytest.raises(TrapError):
-            state.add_ion(4)
+        state = self.state([1, 2, 3])
+        assert state.is_full(0)
+        with pytest.raises(MachineModelError, match="full trap"):
+            state.attach_ion(4, 0)
 
     def test_duplicate_ion_rejected(self):
-        state = TrapState(self.spec(), chain=[1])
-        with pytest.raises(TrapError):
-            state.add_ion(1)
+        state = self.state([1])
+        with pytest.raises(MachineModelError, match="still in trap"):
+            state.attach_ion(1, 0)
 
     def test_remove_missing_rejected(self):
-        with pytest.raises(TrapError):
-            TrapState(self.spec()).remove_ion(9)
+        with pytest.raises(MachineModelError, match="not mapped"):
+            self.state().detach_ion(9)
 
     def test_positional_insert(self):
-        state = TrapState(self.spec(), chain=[1, 2])
-        state.remove_ion(2)
-        state.add_ion(3, position=0)
-        assert state.chain == [3, 1]
+        state = self.state([1, 2])
+        state.detach_ion(2)
+        state.attach_ion(3, 0, position=0)
+        assert state.chain(0) == [3, 1]
 
     def test_copy_is_deep(self):
-        state = TrapState(self.spec(), chain=[1])
-        other = state.copy()
-        other.add_ion(2)
-        assert state.chain == [1]
+        state = self.state([1])
+        other = state.fork()
+        other.attach_ion(2, 0)
+        assert state.chain(0) == [1]
 
 
 class TestTopology:

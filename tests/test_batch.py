@@ -454,7 +454,7 @@ class TestRunner:
         assert results[2].ok
 
     def test_run_or_raise_preserves_exception_type(self):
-        from repro.compiler.state import CompilationError
+        from repro.compiler import CompilationError
 
         too_small = uniform_machine(linear_topology(2), 4, 2)
         jobs = [
@@ -663,7 +663,7 @@ class TestRunSuiteEquivalence:
     def test_run_suite_propagates_compilation_errors(self):
         # The serial path's error contract survives the batch engine:
         # an oversized circuit raises CompilationError, not a wrapper.
-        from repro.compiler.state import CompilationError
+        from repro.compiler import CompilationError
 
         too_small = uniform_machine(linear_topology(2), 4, 2)
         with pytest.raises(CompilationError):
@@ -674,7 +674,7 @@ class TestRunSuiteEquivalence:
             )
 
     def test_parallel_run_suite_propagates_compilation_errors(self):
-        from repro.compiler.state import CompilationError
+        from repro.compiler import CompilationError
 
         too_small = uniform_machine(linear_topology(2), 4, 2)
         with pytest.raises(CompilationError):

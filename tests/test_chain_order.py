@@ -5,8 +5,7 @@ import pytest
 from repro.arch import linear_topology, uniform_machine
 from repro.circuits.circuit import Circuit
 from repro.compiler import CompilerConfig, compile_circuit
-from repro.compiler.state import CompilationError, CompilerState
-from repro.core import MachineState, replay_into
+from repro.core import MachineModelError, MachineState, replay_into
 from repro.core.ops import GateOp, MergeOp, MoveOp, SwapOp
 from repro.sim import Schedule, SimulationError, Simulator
 
@@ -167,19 +166,19 @@ class TestSimulatorSwapValidation:
 
 class TestStateHelpers:
     def test_swap_adjacent(self):
-        state = CompilerState(machine(), {0: [0, 1, 2]})
+        state = MachineState(machine(), {0: [0, 1, 2]})
         state.swap_adjacent(0, 1)
         assert state.chains[0] == [0, 2, 1]
 
     def test_swap_adjacent_bounds(self):
-        state = CompilerState(machine(), {0: [0, 1]})
-        with pytest.raises(CompilationError):
+        state = MachineState(machine(), {0: [0, 1]})
+        with pytest.raises(MachineModelError):
             state.swap_adjacent(0, 1)
-        with pytest.raises(CompilationError):
+        with pytest.raises(MachineModelError):
             state.swap_adjacent(0, -1)
 
     def test_positional_attach(self):
-        state = CompilerState(machine(), {0: [0, 1]})
+        state = MachineState(machine(), {0: [0, 1]})
         state.detach_ion(0)
         state.attach_ion(0, 0, position=0)
         assert state.chains[0] == [0, 1]

@@ -41,7 +41,6 @@ from repro.circuits.gate import Gate, trusted_gate
 from repro.compiler.compiler import QCCDCompiler
 from repro.compiler.config import CompilerConfig
 from repro.compiler.routing import Router
-from repro.compiler.state import CompilerState
 from repro.core.ops import (
     GateOp,
     MergeOp,
@@ -50,6 +49,7 @@ from repro.core.ops import (
     SplitOp,
     SwapOp,
 )
+from repro.core.state import MachineState
 from repro.core.vector import (
     HAVE_NUMPY,
     K_GATE,
@@ -122,7 +122,7 @@ def unchecked_machine(topology: TrapTopology, capacity: int) -> QCCDMachine:
 def routed_path(topology: TrapTopology, src: int, dst: int) -> list[int]:
     """The traps one routed ion passes through, on an empty machine."""
     machine = unchecked_machine(topology, capacity=4)
-    state = CompilerState(machine, {src: [0]})
+    state = MachineState(machine, {src: [0]})
     schedule = Schedule()
     router = Router(
         state,
@@ -165,7 +165,7 @@ def test_disconnected_pairs_raise_the_same_error(name):
                 continue
             assert table[src][dst] == -1
             machine = unchecked_machine(topology, capacity=4)
-            state = CompilerState(machine, {src: [0]})
+            state = MachineState(machine, {src: [0]})
             schedule = Schedule()
             router = Router(
                 state,

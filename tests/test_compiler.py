@@ -208,6 +208,20 @@ class TestMappingIntegration:
                 initial_chains={0: [0, 1], 1: [1]},
             )
 
+    @pytest.mark.parametrize("qubits", [(2,), (0, 2)])
+    def test_unmapped_qubit_rejected(self, config, qubits):
+        # Qubit 2 is missing from the placement: the kernel state's
+        # "is not mapped" error surfaces as a CompilationError.
+        circuit = Circuit(3).add("ms", 0, 1)
+        circuit.add("h" if len(qubits) == 1 else "ms", *qubits)
+        with pytest.raises(CompilationError, match="ion 2 is not mapped"):
+            compile_circuit(
+                circuit,
+                small_machine(),
+                config,
+                initial_chains={0: [0], 1: [1]},
+            )
+
 
 class TestOptimizedVsBaseline:
     def test_paper_headline_on_small_example(self):

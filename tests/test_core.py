@@ -119,6 +119,25 @@ class TestMachineState:
         with pytest.raises(MachineModelError, match="still in trap"):
             state.attach_ion(0, 0)
 
+    def test_epoch_counts_compiler_mutations_only(self):
+        state = MachineState(machine(), {0: [0, 1]})
+        assert state.epoch == 0
+        state.detach_ion(0)
+        assert state.epoch == 1
+        state.attach_ion(0, 1)
+        assert state.epoch == 2
+        state.attach_ion(2, 0)
+        state.swap_adjacent(0, 0)
+        assert state.epoch == 4
+        for op in trip(0, [1, 2]):
+            state.apply(op)
+        state.apply(SwapOp(ion_a=1, ion_b=2, trap=0))
+        assert state.epoch == 4
+        twin = state.fork()
+        assert twin.epoch == 4
+        twin.detach_ion(0)
+        assert (twin.epoch, state.epoch) == (5, 4)
+
     def test_has_edge(self):
         state = MachineState(machine(traps=4), {})
         assert state.has_edge(0, 1) and state.has_edge(1, 0)
@@ -200,10 +219,10 @@ class TestErrorHierarchy:
     """Satellite regression: one base class across all three layers."""
 
     def test_compilation_error_is_machine_model_error(self):
-        from repro.compiler.state import CompilationError, CompilerState
+        from repro.compiler import CompilationError
 
         with pytest.raises(MachineModelError) as excinfo:
-            CompilerState(machine(capacity=2), {0: [0, 1, 2]})
+            compile_overfull(machine(capacity=2))
         assert isinstance(excinfo.value, CompilationError)
 
     def test_simulation_error_is_machine_model_error(self):
@@ -231,7 +250,7 @@ class TestErrorHierarchy:
         m = machine(capacity=2)
         caught = []
         for thunk in (
-            lambda: CompilerStateOverflow(m),
+            lambda: compile_overfull(m),
             lambda: Simulator(m).run(
                 Schedule([SplitOp(ion=0, trap=0)]), {0: [0]}
             ),
@@ -256,10 +275,14 @@ class TestErrorHierarchy:
         assert issubclass(repro.CompilationError, repro.MachineModelError)
 
 
-def CompilerStateOverflow(m):
-    from repro.compiler.state import CompilerState
+def compile_overfull(m):
+    """Compile onto an initial placement that overfills trap 0."""
+    from repro.circuits.circuit import Circuit
+    from repro.compiler import compile_circuit
 
-    return CompilerState(m, {0: [0, 1, 2]})
+    return compile_circuit(
+        Circuit(3).add("ms", 0, 1), m, initial_chains={0: [0, 1, 2]}
+    )
 
 
 class TestRingTopology:

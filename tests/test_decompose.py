@@ -6,7 +6,7 @@ import pytest
 
 # gate_matrices is a numpy-only test oracle; numpy itself is an
 # optional extra.
-pytest.importorskip("numpy")
+pytest.importorskip("numpy", exc_type=ImportError)
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.decompose import (

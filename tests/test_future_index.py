@@ -42,13 +42,13 @@ from repro.compiler.policies import (
 )
 from repro.compiler.rebalance import max_score_with_value
 from repro.compiler.reorder import find_reorder_candidate
-from repro.compiler.state import CompilerState
 from repro.compiler.config import (
     DEFAULT_WEIGHT_DEST,
     DEFAULT_WEIGHT_SOURCE,
     TIE_WEIGHT_DEST,
     TIE_WEIGHT_SOURCE,
 )
+from repro.core.state import MachineState
 
 MACHINES = {
     "linear": lambda: linear_machine(4, capacity=4, comm_capacity=1),
@@ -155,7 +155,7 @@ class Harness:
             self.dag, self.pending, self.circuit.num_qubits
         )
         chains = greedy_initial_mapping(self.circuit, machine)
-        self.state = CompilerState(machine, chains)
+        self.state = MachineState(machine, chains)
         self.executed: set[int] = set()
         self.pos = 0
 
@@ -251,7 +251,7 @@ def reference_eviction_counts(
     state, eligible, source_trap, destination_trap, stream, window
 ):
     """Frozen copy of the stream-scan eviction counting."""
-    from repro.compiler.state import CompilationError
+    from repro.compiler import CompilationError
 
     dest_count = {ion: 0 for ion in eligible}
     source_count = {ion: 0 for ion in eligible}

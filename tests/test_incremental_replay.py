@@ -38,7 +38,7 @@ from repro.core import replaying
 from repro.core.errors import MachineModelError
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.vector import HAVE_NUMPY
-from repro.passes.base import extract_excursions, rebuild
+from repro.passes.base import extract_excursions
 
 MACHINES = {
     "linear": lambda: linear_machine(4, capacity=4, comm_capacity=1),
@@ -108,7 +108,8 @@ class TestStateSnapshots:
         twin.detach_ion(0)
         assert state.trap_of(0) == 0
         assert state.chain(0) == [0, 1]
-        assert twin.location(0) == -1
+        with pytest.raises(MachineModelError, match="not mapped"):
+            twin.trap_of(0)
 
     def test_checkpoint_restores_repeatedly(self):
         state = MachineState(self.machine, self.chains)
@@ -235,12 +236,21 @@ def test_splice_verdicts_survive_commits(name):
     assert commits > 10
 
 
+def rebuild(ops, deleted):
+    """Materialize an edited op stream: ``deleted`` indices dropped.
+
+    The reference implementation of the edit semantics the passes
+    used to verify with a full replay per candidate;
+    :class:`~repro.passes.base.SpliceEditor` submits exactly these
+    streams to the incremental engine."""
+    return [op for index, op in enumerate(ops) if index not in deleted]
+
+
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_excursion_deletions_match_full_replay(name):
     """The pass-shaped edit: deleting whole excursions (round trips),
     the splice the elision pass submits.  Candidates are built with
-    :func:`repro.passes.base.rebuild` — the reference implementation
-    of the edit semantics the passes used to verify by full replay."""
+    :func:`rebuild`, the full-replay reference."""
     rng = random.Random(0xE11 + hash(name) % 31)
     machine = MACHINES[name]()
     ops, chains = compiled_stream(rng, machine)
@@ -250,7 +260,7 @@ def test_excursion_deletions_match_full_replay(name):
     for trip in trips:
         span = sorted(trip.op_indices())
         start, end = span[0], span[-1] + 1
-        candidate = list(rebuild(ops, set(span)).ops)
+        candidate = rebuild(ops, set(span))
         replacement = candidate[start : end - len(span)]
         assert candidate == ops[:start] + replacement + ops[end:]
         verdict = engine.verify_splice(start, end, replacement)

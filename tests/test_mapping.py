@@ -5,7 +5,7 @@ import pytest
 from repro.arch import l6_machine, linear_topology, uniform_machine
 from repro.circuits.circuit import Circuit
 from repro.compiler.mapping import greedy_initial_mapping
-from repro.compiler.state import CompilationError
+from repro.compiler import CompilationError
 
 
 def small_machine(traps=3, capacity=5, comm=1):

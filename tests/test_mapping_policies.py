@@ -12,7 +12,7 @@ from repro.compiler.mapping import (
     random_initial_mapping,
     round_robin_initial_mapping,
 )
-from repro.compiler.state import CompilationError
+from repro.compiler import CompilationError
 
 
 def machine():

@@ -18,8 +18,8 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.gate import Gate
 from repro.compiler import CompilerConfig, compile_circuit
 from repro.compiler.rebalance import select_destination_trap
-from repro.compiler.state import CompilerState
 from repro.core.ops import MoveOp
+from repro.core.state import MachineState
 
 
 class TestFig4:
@@ -120,7 +120,7 @@ class TestFig6:
 class TestFig7:
     """Re-balancing destination search on the Fig. 7 trap state."""
 
-    def state(self) -> CompilerState:
+    def state(self) -> MachineState:
         machine = uniform_machine(linear_topology(6), 5, 1)
         chains = {
             0: [0, 1, 2],       # EC 2
@@ -130,7 +130,7 @@ class TestFig7:
             4: [11, 12, 13, 14, 15],  # EC 0 (full, the traffic block)
             5: [],              # EC 5
         }
-        return CompilerState(machine, chains)
+        return MachineState(machine, chains)
 
     def test_previous_logic_sends_to_trap0(self):
         """[7]'s scan from trap 0 picks T0: 4 shuttles away from T4."""

@@ -11,14 +11,14 @@ from repro.compiler.policies import (
     excess_capacity_decision,
     make_policy,
 )
-from repro.compiler.state import CompilerState
+from repro.core.state import MachineState
 
 from future_util import future_view
 
 
 def two_trap_state(chains, capacity=4, comm=1):
     machine = uniform_machine(linear_topology(2), capacity, comm)
-    return CompilerState(machine, chains)
+    return MachineState(machine, chains)
 
 
 def fig4_state():
@@ -128,7 +128,7 @@ class TestFutureOpsScores:
 class TestProximityCutoff:
     def make_wide_state(self):
         machine = uniform_machine(linear_topology(2), 8, 1)
-        return CompilerState(machine, {0: [0, 1, 2, 3], 1: [4, 5, 6, 7]})
+        return MachineState(machine, {0: [0, 1, 2, 3], 1: [4, 5, 6, 7]})
 
     def test_gate_metric_cutoff(self):
         """Fig. 5: a gap longer than the proximity excludes later gates."""

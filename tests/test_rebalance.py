@@ -11,7 +11,8 @@ from repro.compiler.rebalance import (
     select_ion_chain_head,
     select_ion_max_score,
 )
-from repro.compiler.state import CompilationError, CompilerState
+from repro.compiler import CompilationError
+from repro.core.state import MachineState
 
 from future_util import future_view
 
@@ -31,7 +32,7 @@ def fig7_state():
         4: [11, 12, 13, 14, 15],
         5: [],
     }
-    return CompilerState(machine, chains)
+    return MachineState(machine, chains)
 
 
 class TestDestinationSelection:
@@ -53,7 +54,7 @@ class TestDestinationSelection:
 
     def test_full_traps_excluded(self):
         machine = uniform_machine(linear_topology(3), 2, 1)
-        state = CompilerState(machine, {0: [0, 1], 1: [2, 3], 2: []})
+        state = MachineState(machine, {0: [0, 1], 1: [2, 3], 2: []})
         assert select_destination_trap(state, 0, "nearest") == 2
 
     def test_exclude_parameter(self):
@@ -65,7 +66,7 @@ class TestDestinationSelection:
 
     def test_no_destination_raises(self):
         machine = uniform_machine(linear_topology(2), 2, 1)
-        state = CompilerState(machine, {0: [0, 1], 1: [2, 3]})
+        state = MachineState(machine, {0: [0, 1], 1: [2, 3]})
         with pytest.raises(CompilationError):
             select_destination_trap(state, 0, "nearest")
 

@@ -9,7 +9,7 @@ from repro.compiler.compiler import QCCDCompiler
 from repro.compiler.future_index import FutureGateIndex
 from repro.compiler.policies import FutureOpsPolicy
 from repro.compiler.reorder import find_reorder_candidate
-from repro.compiler.state import CompilerState
+from repro.core.state import MachineState
 
 
 def fig6_machine():
@@ -44,7 +44,7 @@ class TestFindCandidate:
         """gA's favourable destination T1 is full; gB frees it."""
         circuit = fig6_circuit()
         dag = DependencyDAG(circuit)
-        state = CompilerState(fig6_machine(), fig6_chains())
+        state = MachineState(fig6_machine(), fig6_chains())
         policy = FutureOpsPolicy(
             proximity=6, proximity_metric="gates", capacity_guard=0
         )
@@ -73,7 +73,7 @@ class TestFindCandidate:
             [Gate("ms", (3, 5)), Gate("ms", (0, 1)), *fig6_circuit()],
         )
         dag = DependencyDAG(circuit)
-        state = CompilerState(fig6_machine(), fig6_chains())
+        state = MachineState(fig6_machine(), fig6_chains())
         policy = FutureOpsPolicy(
             proximity=6, proximity_metric="gates", capacity_guard=0
         )
@@ -104,7 +104,7 @@ class TestFindCandidate:
             capacities=[4, 4, 4],
             comm_capacities=[1, 1, 1],
         )
-        state = CompilerState(machine, {0: [0, 1], 1: [2, 3], 2: [4]})
+        state = MachineState(machine, {0: [0, 1], 1: [2, 3], 2: [4]})
         policy = FutureOpsPolicy(proximity=6, capacity_guard=0)
         pending = dag.topological_order()
         future = FutureGateIndex(dag, pending, circuit.num_qubits)
@@ -126,7 +126,7 @@ class TestFindCandidate:
         )
         dag = DependencyDAG(circuit)
         machine = fig6_machine()
-        state = CompilerState(machine, {0: [0, 1], 1: [2, 3]})
+        state = MachineState(machine, {0: [0, 1], 1: [2, 3]})
         policy = FutureOpsPolicy(proximity=6, capacity_guard=0)
         pending = dag.topological_order()
         future = FutureGateIndex(dag, pending, circuit.num_qubits)

@@ -6,8 +6,9 @@ from repro.arch import linear_topology, uniform_machine
 from repro.circuits.gate import Gate
 from repro.compiler.config import CompilerConfig
 from repro.compiler.routing import Router
-from repro.compiler.state import CompilationError, CompilerState
+from repro.compiler import CompilationError
 from repro.core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp
+from repro.core.state import MachineState
 from repro.sim.schedule import Schedule
 
 from future_util import future_view
@@ -15,7 +16,7 @@ from future_util import future_view
 
 def make_router(chains, traps=4, capacity=3, comm=1, config=None, upcoming=()):
     machine = uniform_machine(linear_topology(traps), capacity, comm)
-    state = CompilerState(machine, chains)
+    state = MachineState(machine, chains)
     schedule = Schedule()
     router = Router(
         state,
