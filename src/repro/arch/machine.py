@@ -66,14 +66,6 @@ class QCCDMachine:
         """The spec of one trap."""
         return self.traps[trap_id]
 
-    def check_fits(self, num_qubits: int) -> None:
-        """Raise if a circuit of ``num_qubits`` cannot be initially mapped."""
-        if num_qubits > self.load_capacity:
-            raise TrapError(
-                f"{num_qubits} qubits exceed machine load capacity "
-                f"{self.load_capacity} ({self.name})"
-            )
-
     def __repr__(self) -> str:
         return (
             f"QCCDMachine(name={self.name!r}, traps={self.num_traps}, "

@@ -149,16 +149,12 @@ def execute_job(job: CompileJob) -> tuple[CompilationResult, SimulationReport | 
     )
     report = None
     if job.simulate:
+        t_sim = perf_counter()
+        report = Simulator(job.machine, job.params).run(
+            result.schedule, result.initial_chains
+        )
         obs = _obs_active()
-        if obs is None:
-            report = Simulator(job.machine, job.params).run(
-                result.schedule, result.initial_chains
-            )
-        else:
-            t_sim = perf_counter()
-            report = Simulator(job.machine, job.params).run(
-                result.schedule, result.initial_chains
-            )
+        if obs is not None:
             obs.metrics.observe(
                 "phase.simulate_seconds", perf_counter() - t_sim
             )

@@ -36,7 +36,7 @@ from ..arch.machine import QCCDMachine
 from ..circuits.circuit import Circuit
 from ..circuits.dag import DependencyDAG
 from ..core.errors import CompilationError, MachineModelError
-from ..core.ops import GateOp, ShuttleReason
+from ..core.ops import GateOp, MachineOp, ShuttleReason
 from ..core.params import DEFAULT_PARAMS, MachineParams
 from ..core.state import MachineState
 from ..obs import active as _obs_active
@@ -190,7 +190,9 @@ class QCCDCompiler:
         dag = future.dag
         pending = future.pending
         state = MachineState(self.machine, initial_chains)
-        schedule = Schedule()
+        # Ops are emitted into a plain list and encoded in one pass
+        # when the schedule is built from it at the end.
+        ops: list[MachineOp] = []
 
         gate_order: list[int] = []
         reorder_attempts: dict[int, int] = defaultdict(int)
@@ -209,7 +211,7 @@ class QCCDCompiler:
 
         router = Router(
             state,
-            schedule,
+            ops,
             self.config,
             upcoming_factory=decision_window,
         )
@@ -220,7 +222,7 @@ class QCCDCompiler:
             else nullcontext()
         )
         perf = time.perf_counter
-        emit = schedule.append
+        emit = ops.append
         gate_at = dag.gate
         skip_favoured = self._skip_favoured
         # Placements are read straight off the state's ion -> trap
@@ -380,7 +382,7 @@ class QCCDCompiler:
                 gate_order.append(index)
                 future.mark_executed(index, True)
                 pos += 1
-        return state, schedule, gate_order, num_reorders, router.num_rebalances
+        return state, Schedule(ops), gate_order, num_reorders, router.num_rebalances
 
     def _compile(
         self,

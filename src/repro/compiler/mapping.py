@@ -23,6 +23,16 @@ from ..circuits.circuit import Circuit
 from ..core.errors import CompilationError
 
 
+def _check_load(circuit: Circuit, machine: QCCDMachine) -> None:
+    """The load-capacity check every mapping policy makes first."""
+    machine_load = machine.load_capacity
+    if circuit.num_qubits > machine_load:
+        raise CompilationError(
+            f"circuit {circuit.name!r} has {circuit.num_qubits} qubits but "
+            f"machine {machine.name!r} can initially load only {machine_load}"
+        )
+
+
 def greedy_initial_mapping(
     circuit: Circuit, machine: QCCDMachine
 ) -> dict[int, list[int]]:
@@ -31,12 +41,7 @@ def greedy_initial_mapping(
     Raises :class:`CompilationError` when the circuit has more qubits
     than the machine's load capacity.
     """
-    machine_load = machine.load_capacity
-    if circuit.num_qubits > machine_load:
-        raise CompilationError(
-            f"circuit {circuit.name!r} has {circuit.num_qubits} qubits but "
-            f"machine {machine.name!r} can initially load only {machine_load}"
-        )
+    _check_load(circuit, machine)
 
     num_traps = machine.num_traps
     topology = machine.topology
@@ -98,7 +103,7 @@ def round_robin_initial_mapping(
     A deliberately weak alternative used by the initial-mapping study
     (the paper's Section IV-E3 names mapping policies as future work).
     """
-    machine.check_fits(circuit.num_qubits)
+    _check_load(circuit, machine)
     num_traps = machine.num_traps
     chains: list[list[int]] = [[] for _ in range(num_traps)]
     free = [machine.trap(t).load_capacity for t in range(num_traps)]
@@ -117,7 +122,7 @@ def random_initial_mapping(
     """Seeded random placement (the other pole of the mapping study)."""
     import random
 
-    machine.check_fits(circuit.num_qubits)
+    _check_load(circuit, machine)
     rng = random.Random(seed)
     qubits = list(range(circuit.num_qubits))
     rng.shuffle(qubits)

@@ -15,10 +15,9 @@ from time import perf_counter
 
 from ..arch.topology import TopologyError
 from ..core.errors import CompilationError
-from ..core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
+from ..core.ops import MachineOp, MergeOp, MoveOp, ShuttleReason, SplitOp, SwapOp
 from ..core.state import MachineState
 from ..obs import active as _obs_active
-from ..sim.schedule import Schedule
 from .config import CompilerConfig
 from .future_index import FutureView
 from .rebalance import max_score_with_value, select_eviction
@@ -29,14 +28,15 @@ _MAX_RESOLVE_DEPTH = 64
 
 
 class Router:
-    """Emits shuttle ops into a schedule while updating the machine state.
+    """Emits shuttle ops into an op list while updating the machine state.
 
     Parameters
     ----------
     state:
         Shared mutable placement state.
     schedule:
-        Output op stream (appended in place).
+        Output op list (appended in place; the compiler builds its
+        :class:`~repro.sim.schedule.Schedule` from it at the end).
     config:
         Supplies the re-balancing strategy and ion-selection rule.
     upcoming_factory:
@@ -49,7 +49,7 @@ class Router:
     def __init__(
         self,
         state: MachineState,
-        schedule: Schedule,
+        schedule: list[MachineOp],
         config: CompilerConfig,
         upcoming_factory: Callable[[], FutureView],
     ) -> None:

@@ -32,6 +32,7 @@ from .errors import MachineModelError
 from .state import MachineState
 from .vector import (
     HAVE_NUMPY,
+    CompiledStream,
     check_stream,
     compile_stream,
     drain_stream,
@@ -44,15 +45,13 @@ def replay(
     ops: Iterable,
     initial_chains: dict[int, list[int]],
     observers: tuple = (),
-    require_settled: bool = True,
 ) -> MachineState:
     """Replay ``ops`` from ``initial_chains``; returns the final state.
 
     Raises :class:`~repro.core.errors.MachineModelError` on the first
     illegal op, with the offending stream position prefixed as
     ``"op {index}: ..."`` (initial-chain violations carry no prefix).
-    With ``require_settled`` (the default) a schedule that leaves ions
-    in transit is also rejected.
+    A schedule that leaves ions in transit is also rejected.
 
     ``observers`` are notified *after* each op is applied; a rejected
     op reaches no observer, so observer state is always consistent
@@ -61,8 +60,7 @@ def replay(
     state = MachineState(machine, initial_chains)
     for _ in _replay_windows(state, ops, observers, None):
         pass
-    if require_settled:
-        state.require_settled()
+    state.require_settled()
     return state
 
 
@@ -78,7 +76,9 @@ def replay_into(
 
 def _as_sequence(ops: Iterable) -> Sequence:
     """``ops`` as an indexable sequence (an iterator is drained once)."""
-    return ops if isinstance(ops, (list, tuple)) else list(ops)
+    if isinstance(ops, (list, tuple, CompiledStream)):
+        return ops
+    return list(ops)
 
 
 def _replay_windows(
@@ -92,8 +92,9 @@ def _replay_windows(
 
     The one place the replay kernel is chosen.  With numpy and only
     exact :class:`ClockObserver`/:class:`HeatingObserver` observers,
-    the stream is compiled (cached on a :class:`Schedule` source) and
-    proven legal as a whole by :func:`check_stream`; a proven stream
+    the stream's columns (a :class:`Schedule` source's own, a bare op
+    list's encoded here) are proven legal as a whole by
+    :func:`check_stream`; a proven stream
     is drained window by window.  Anything else — no numpy, other
     observers, swap-bearing or out-of-model streams, a real violation
     — runs the scalar loop, which raises the exact ``"op N: ..."``
@@ -104,8 +105,7 @@ def _replay_windows(
         stream = None
         ops = _as_sequence(source)
     else:
-        stream = compile_stream(source)
-        ops = stream.ops
+        stream = ops = compile_stream(source)
         if not check_stream(state, stream, 0, len(ops)):
             stream = None
     n = len(ops)
@@ -285,10 +285,9 @@ class CheckpointedReplay:
         # The construction replay is the engine's only O(N) scan; it
         # takes whichever kernel replay() would, one checkpoint
         # interval at a time.  Splice scans stay scalar: they are
-        # O(window + √N) by design.  Compile via the source object
-        # when it carries the compiled-stream cache slot (Schedule
-        # does): the pass pipeline re-verifies the same schedule
-        # repeatedly, and every engine then shares one compilation.
+        # O(window + √N) by design.  A stream source (a Schedule)
+        # replays on its own columns: the pass pipeline re-verifies
+        # the same schedule repeatedly, and nothing is re-encoded.
         state = MachineState(machine, initial_chains)
         self._scratch = state.fork()
         self._probe = state.fork()
@@ -296,7 +295,7 @@ class CheckpointedReplay:
         self._cp_data: list[tuple] = [
             (state.checkpoint(), self._observer_snapshots())
         ]
-        source = ops if hasattr(ops, "_compiled_stream") else self._ops
+        source = ops if isinstance(ops, CompiledStream) else self._ops
         for stop in _replay_windows(
             state, source, self.observers, self.interval
         ):

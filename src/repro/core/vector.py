@@ -10,9 +10,10 @@ run length is ~1.5 ops — per-run ndarray overhead swamps the win
 (see DESIGN.md §11 for the numbers).  This module therefore batches
 at *whole-stream* granularity instead:
 
-1. :func:`compile_stream` flattens a :class:`Schedule` (or raw op
-   list) once into columnar int64 arrays (cached on the schedule, so
-   simulate/verify/pass replays share one compilation),
+1. a :class:`CompiledStream` keeps its ops and their int columns in
+   step, each op encoded once as it joins; a :class:`Schedule` *is*
+   one, so simulate/verify/pass replays read the columns the schedule
+   already has, and :func:`compile_stream` encodes only bare op lists,
 2. :func:`check_stream` proves an entire window legal with array
    predicates — the per-ion transit discipline becomes a sorted
    (ion, position) event table with seed rows and a forward fill
@@ -36,7 +37,7 @@ can pass (no false negatives).
 The same columns are also the pickled form of a schedule: a
 :class:`CompiledStream` pickles as its columns plus a small decode
 vocabulary (gate names and params, shuttle reasons), so the worker
-pool and the result cache ship the encoding replay already built.
+pool and the result cache ship the columns the schedule already has.
 
 :func:`repro.core.replaying.replay` is the only caller that chooses
 between this kernel and the scalar loop.  Everything degrades
@@ -47,6 +48,7 @@ pickle as plain op objects.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 from ..circuits.gate import (
     Gate,
@@ -67,13 +69,14 @@ except ImportError:  # pragma: no cover
     np = None
     HAVE_NUMPY = False
 
-#: Op-kind codes in the compiled stream (order is part of the pickle
+#: Op-kind codes of the ``kind`` column (order is part of the pickle
 #: format).
 K_GATE, K_MOVE, K_SPLIT, K_MERGE, K_SWAP, K_OTHER = range(6)
 
 #: Pickle-format version of :class:`CompiledStream`; unpickling
-#: rejects every other value (and a missing one).
-STREAM_FORMAT = 2
+#: rejects every other value (and a missing one).  Version 3: a
+#: ``Schedule`` pickles as its own stream state, with no wrapper.
+STREAM_FORMAT = 3
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -85,8 +88,7 @@ def _fits(value) -> bool:
 
 def _narrow(column):
     """``column`` in the smallest signed int dtype that holds it: the
-    pickle state stores ids and codes compactly, live columns stay
-    int64."""
+    pickle state stores ids and codes compactly."""
     column = np.asarray(column, dtype=np.int64)
     if column.size:
         lo, hi = int(column.min()), int(column.max())
@@ -98,59 +100,130 @@ def _narrow(column):
 
 
 class CompiledStream:
-    """Columnar form of an op stream.
+    """An op stream and its columns, kept in step.
 
-    ``kind`` discriminates per op; ``a``/``b``/``c`` are int64 field
-    columns (gate: trap/q0/q1-or--1; move: ion/src/dst; split:
+    ``kind_l`` discriminates per op; ``a_l``/``b_l``/``c_l`` are int
+    field columns (gate: trap/q0/q1-or--1; move: ion/src/dst; split:
     ion/trap/-1; merge: ion/trap/position-or--1; swap:
-    ion_a/ion_b/trap) and ``d`` marks two-qubit gates.  The ``*_l``
-    twins are plain Python lists — the drain loop indexes them far
-    faster than ndarray items.  ``K_OTHER`` marks ops outside the
-    columns: subclassed/foreign ops, gates on more than two qubits,
-    ids beyond int64, negative merge positions.  ``needs_scalar`` is
-    True when any op is ``K_SWAP`` (chain-*order* checks) or
-    ``K_OTHER``; such streams replay scalar end to end.  ``ops`` keeps
-    the original objects for the scalar fallback.
+    ion_a/ion_b/trap) and ``d_l`` marks two-qubit gates.  ``K_OTHER``
+    marks ops outside the columns, with zeroed fields:
+    subclassed/foreign ops, gates on more than two qubits, ids beyond
+    int64, negative merge positions.  ``needs_scalar`` is True when
+    any op is ``K_SWAP`` (chain-*order* checks) or ``K_OTHER``; such
+    streams replay scalar end to end.
+
+    Each op is encoded once, when it joins the stream (:meth:`extend`;
+    :meth:`spliced` and :meth:`take` reuse the rows they keep).  The
+    drain loop indexes these plain lists far faster than ndarray
+    items; the check reads their ndarray twins (:meth:`arrays`) and
+    caches one :class:`_CheckPlan` per window, both derived on first
+    use and dropped when the stream grows.
 
     Pickling keeps the columns and adds the vocabulary they lack (see
     :meth:`__getstate__`); unpickling checks the gate columns in bulk
-    and rebuilds ``ops`` (see :func:`_decode_gates`).
+    and rebuilds the ops from them (see :func:`_decode_gates`).
     """
 
     __slots__ = (
-        "ops",
-        "kind",
-        "a",
-        "b",
-        "c",
+        "_ops",
         "kind_l",
         "a_l",
         "b_l",
         "c_l",
         "d_l",
-        "needs_scalar",
+        "_arrays",
         "_plans",
     )
 
-    def __init__(self, ops, kind, a, b, c, d) -> None:
-        self.ops = ops
-        self.kind_l = kind
-        self.a_l = a
-        self.b_l = b
-        self.c_l = c
-        self.d_l = d
-        # Kind codes are bytes: bytearray packs them far faster than a
-        # per-item uint8 conversion, and the array shares its memory.
-        self.kind = np.frombuffer(bytearray(kind), dtype=np.uint8)
-        self.a = np.array(a, dtype=np.int64)
-        self.b = np.array(b, dtype=np.int64)
-        self.c = np.array(c, dtype=np.int64)
-        self.needs_scalar = bool((self.kind >= K_SWAP).any())
+    def __init__(self, ops: Iterable = ()) -> None:
+        ops = list(ops)
+        self._adopt(ops, _encode(ops))
+
+    def _adopt(self, ops: list, columns) -> None:
+        self._ops = ops
+        self.kind_l, self.a_l, self.b_l, self.c_l, self.d_l = columns
+        self._arrays = None
         #: (lo, hi) -> _CheckPlan, built lazily by check_stream.
         self._plans: dict = {}
 
+    def _columns(self) -> tuple:
+        return (self.kind_l, self.a_l, self.b_l, self.c_l, self.d_l)
+
+    def _derived(self, ops: list, columns) -> "CompiledStream":
+        """A new stream of this type over ``ops`` and their ``columns``."""
+        out = type(self).__new__(type(self))
+        out._adopt(ops, columns)
+        return out
+
+    def append(self, op) -> None:
+        """Append one op."""
+        self.extend((op,))
+
+    def extend(self, ops: Iterable) -> None:
+        """Append several ops, encoding only them."""
+        ops = list(ops)
+        self._ops.extend(ops)
+        for column, rows in zip(self._columns(), _encode(ops)):
+            column.extend(rows)
+        self._arrays = None
+        self._plans = {}
+
+    def spliced(
+        self, start: int, end: int, replacement: Iterable = ()
+    ) -> "CompiledStream":
+        """New stream with ``ops[start:end]`` replaced: the kept rows
+        are sliced, only ``replacement`` is encoded."""
+        replacement = list(replacement)
+        return self._derived(
+            self._ops[:start] + replacement + self._ops[end:],
+            [
+                column[:start] + rows + column[end:]
+                for column, rows in zip(
+                    self._columns(), _encode(replacement)
+                )
+            ],
+        )
+
+    def take(self, order: list[int]) -> "CompiledStream":
+        """New stream of the rows at ``order`` (a reordering, say):
+        nothing is re-encoded."""
+        return self._derived(
+            [self._ops[i] for i in order],
+            [[column[i] for i in order] for column in self._columns()],
+        )
+
+    @property
+    def ops(self) -> tuple:
+        """The op stream as an immutable tuple."""
+        return tuple(self._ops)
+
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self._ops)
+
+    def __iter__(self) -> Iterator:
+        return iter(self._ops)
+
+    def __getitem__(self, index):
+        return self._ops[index]
+
+    @property
+    def needs_scalar(self) -> bool:
+        kinds = self.kind_l
+        return K_SWAP in kinds or K_OTHER in kinds
+
+    def arrays(self) -> tuple:
+        """``(kind, a, b, c)`` as ndarrays (uint8 kinds, int64 fields),
+        derived from the lists on first use."""
+        if self._arrays is None:
+            self._arrays = (
+                # bytearray packs the kind codes far faster than a
+                # per-item uint8 conversion, and the array shares it.
+                np.frombuffer(bytearray(self.kind_l), dtype=np.uint8),
+                np.array(self.a_l, dtype=np.int64),
+                np.array(self.b_l, dtype=np.int64),
+                np.array(self.c_l, dtype=np.int64),
+            )
+        return self._arrays
 
     def __getstate__(self) -> dict:
         """The columns plus the vocabulary the decoder needs.
@@ -160,10 +233,13 @@ class CompiledStream:
         a reason code per shuttle op, and the ``K_OTHER`` ops verbatim
         as ``(index, op)`` pairs.  A gate op holding a ``Gate``
         subclass replays like any gate but would decode as a plain
-        ``Gate``, so it travels verbatim too.  ``ops`` and the check
-        plans are never part of the state.
+        ``Gate``, so it travels verbatim too.  The ndarray twins and
+        the check plans are never part of the state.  Without numpy
+        there are no columns to narrow: the state is the op objects.
         """
-        ops = self.ops
+        ops = self._ops
+        if not HAVE_NUMPY:
+            return {"_ops": ops}
         name_code: dict[str, int] = {}
         name_codes: list[int] = []
         param_counts: list[int] = []
@@ -193,10 +269,10 @@ class CompiledStream:
                 reason_codes.append(code)
         return {
             "version": STREAM_FORMAT,
-            "kind": self.kind,
-            "a": _narrow(self.a),
-            "b": _narrow(self.b),
-            "c": _narrow(self.c),
+            "kind": np.frombuffer(bytearray(self.kind_l), dtype=np.uint8),
+            "a": _narrow(self.a_l),
+            "b": _narrow(self.b_l),
+            "c": _narrow(self.c_l),
             "gate_names": list(name_code),
             "gate_name_codes": _narrow(name_codes),
             "gate_param_counts": _narrow(param_counts),
@@ -207,29 +283,34 @@ class CompiledStream:
         }
 
     def __setstate__(self, state: dict) -> None:
+        # Fresh lists throughout: a shallow ``copy.copy`` hands over the
+        # live state, and the clone must share no list with the original.
+        if "_ops" in state:
+            ops = list(state["_ops"])
+            self._adopt(ops, _encode(ops))
+            return
         version = state.get("version")
         if version != STREAM_FORMAT:
             raise ValueError(
-                f"unsupported CompiledStream format {version!r} "
+                f"unsupported {type(self).__name__} format {version!r} "
                 f"(expected {STREAM_FORMAT})"
             )
-        self.kind = kind = state["kind"]
-        self.a = state["a"].astype(np.int64)
-        self.b = state["b"].astype(np.int64)
-        self.c = state["c"].astype(np.int64)
-        self.kind_l = kinds = kind.tolist()
-        self.a_l = col_a = self.a.tolist()
-        self.b_l = col_b = self.b.tolist()
-        self.c_l = col_c = self.c.tolist()
-        self.d_l = ((kind == K_GATE) & (self.c >= 0)).tolist()
-        self.needs_scalar = bool((kind >= K_SWAP).any())
-        self._plans = {}
+        kind = state["kind"]
+        if kind.size and int(kind.max()) > K_OTHER:
+            raise ValueError("stream kind column holds an unknown code")
+        wide_b = state["b"].astype(np.int64)
+        wide_c = state["c"].astype(np.int64)
+        kinds = kind.tolist()
+        col_a = state["a"].tolist()
+        col_b = wide_b.tolist()
+        col_c = wide_c.tolist()
+        col_d = ((kind == K_GATE) & (wide_c >= 0)).tolist()
 
         other = dict(state["other"])
         gate_rows = kind == K_GATE
         if other:
             gate_rows[list(other)] = False  # subclassed gates travel verbatim
-        gates = _decode_gates(state, self.b[gate_rows], self.c[gate_rows])
+        gates = _decode_gates(state, wide_b[gate_rows], wide_c[gate_rows])
         reasons = state["reasons"]
         shuttle_reasons = [reasons[i] for i in state["reason_codes"].tolist()]
         ops: list = []
@@ -243,6 +324,8 @@ class CompiledStream:
                 ops.append(GateOp(gates[g], a))
                 g += 1
                 continue
+            if op_kind == K_OTHER:
+                raise ValueError(f"stream row {index} has no verbatim op")
             b = col_b[index]
             c = col_c[index]
             reason = shuttle_reasons[r]
@@ -255,7 +338,13 @@ class CompiledStream:
                 ops.append(MergeOp(a, b, reason, None if c < 0 else c))
             else:
                 ops.append(SwapOp(a, b, c, reason))
-        self.ops = ops
+        columns = (kinds, col_a, col_b, col_c, col_d)
+        # The verbatim rows' columns come from their ops, so the kept
+        # columns describe exactly the decoded ops.
+        for index, op in other.items():
+            for column, (value,) in zip(columns, _encode([op])):
+                column[index] = value
+        self._adopt(ops, columns)
 
 
 def _decode_gates(state: dict, qubit0, qubit1) -> list:
@@ -319,23 +408,32 @@ def _decode_gates(state: dict, qubit0, qubit1) -> list:
     return gates
 
 
-def compile_stream(source) -> "CompiledStream":
-    """Compile a :class:`~repro.sim.schedule.Schedule` (or op sequence)
-    into a :class:`CompiledStream`, caching on the schedule object.
+def compile_stream(source) -> CompiledStream:
+    """``source`` as a :class:`CompiledStream`: a stream (a
+    :class:`~repro.sim.schedule.Schedule` is one) is its own, any other
+    op sequence is encoded into a new one."""
+    if isinstance(source, CompiledStream):
+        return source
+    return CompiledStream(source)
+
+
+def _encode(ops: list) -> tuple[list, list, list, list, list]:
+    """The ``(kind, a, b, c, d)`` columns of ``ops``.
 
     One lean loop copies every op's fields into the columns unchecked;
-    :func:`_checked_stream` then applies the column rule in bulk (see
-    there).  The result is the same as checking each field as it is
-    copied.
+    the column rule is then applied in bulk, and every row that breaks
+    it becomes a zeroed ``K_OTHER`` row.  The rule: each field is an
+    ``int`` (``isinstance``, so bools and int subclasses pass, numpy
+    ints do not) within int64, and an explicit merge position is
+    non-negative: a negative insert index is legal scalar, but -1
+    already encodes "tail".  The constant fields the loop writes (-1,
+    0) always pass.
+
+    The common case is decided at once: every value's type is exactly
+    ``int``, the columns' extremes lie within int64 and no explicit
+    position is negative.  Anything else is checked row by row.  The
+    result is the same as checking each field as it is copied.
     """
-    ops = getattr(source, "_ops", None)
-    if ops is None:
-        ops = list(source)
-    else:
-        # A schedule only grows: a cached stream of its length is its.
-        cached = getattr(source, "_compiled_stream", None)
-        if cached is not None and len(cached) == len(ops):
-            return cached
     n = len(ops)
     kind = [K_OTHER] * n
     col_a = [0] * n
@@ -383,43 +481,20 @@ def compile_stream(source) -> "CompiledStream":
             col_a[i] = op.ion_a
             col_b[i] = op.ion_b
             col_c[i] = op.trap
-    stream = _checked_stream(
-        list(ops), kind, col_a, col_b, col_c, col_d, positioned
-    )
-    try:
-        source._compiled_stream = stream
-    except AttributeError:
-        pass  # raw tuples/lists: no cache slot
-    return stream
-
-
-def _checked_stream(
-    ops, kind, col_a, col_b, col_c, col_d, positioned
-) -> "CompiledStream":
-    """The :class:`CompiledStream` of unchecked columns, after turning
-    every row whose fields break the column rule into a zeroed
-    ``K_OTHER`` row.
-
-    The rule: each field is an ``int`` (``isinstance``, so bools and
-    int subclasses pass, numpy ints do not) within int64, and an
-    explicit merge position (a row of ``positioned``) is non-negative:
-    a negative insert index is legal scalar, but -1 already encodes
-    "tail".  The constant fields the loop writes (-1, 0) always pass.
-
-    The common case is decided in bulk: every value's type is exactly
-    ``int`` and no explicit position is negative, and then the int64
-    conversion in the constructor is the range check (numpy raises
-    ``OverflowError`` for a Python int beyond int64).  Anything else
-    is checked row by row.
-    """
-    types = set(map(type, col_a))
-    types.update(map(type, col_b))
-    types.update(map(type, col_c))
-    if types <= {int} and all(col_c[i] >= 0 for i in positioned):
-        try:
-            return CompiledStream(ops, kind, col_a, col_b, col_c, col_d)
-        except OverflowError:
-            pass  # an int beyond int64: the row check finds it
+    columns = (kind, col_a, col_b, col_c, col_d)
+    fields = (col_a, col_b, col_c)
+    types = set()
+    for column in fields:
+        types.update(map(type, column))
+    if types <= {int} and (
+        not n
+        or (
+            min(map(min, fields)) >= _INT64_MIN
+            and max(map(max, fields)) <= _INT64_MAX
+            and all(col_c[i] >= 0 for i in positioned)
+        )
+    ):
+        return columns
     explicit = set(positioned)
     for i, row_kind in enumerate(kind):
         if row_kind == K_OTHER:
@@ -435,7 +510,7 @@ def _checked_stream(
         kind[i] = K_OTHER
         col_a[i] = col_b[i] = col_c[i] = 0
         col_d[i] = False
-    return CompiledStream(ops, kind, col_a, col_b, col_c, col_d)
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -482,10 +557,7 @@ class _CheckPlan:
     )
 
     def __init__(self, stream: CompiledStream, lo: int, hi: int) -> None:
-        kind = stream.kind[lo:hi]
-        a = stream.a[lo:hi]
-        b = stream.b[lo:hi]
-        c = stream.c[lo:hi]
+        kind, a, b, c = (column[lo:hi] for column in stream.arrays())
 
         is_gate = kind == K_GATE
         is_move = kind == K_MOVE

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
 from time import perf_counter, sleep
 
 from ..serve.client import ServeClient, ServeUnavailable
+from .report import LoadRecord
 from .scenario import Scenario
 
 logger = logging.getLogger(__name__)
@@ -49,24 +49,6 @@ POLL_INTERVAL = 0.02
 DRAIN_TIMEOUT = 120.0
 #: Refusal outcomes (server said no before queuing — by design).
 REFUSAL_OUTCOMES = frozenset({"shed", "rate_limited", "draining"})
-
-
-@dataclass
-class LiveRecord:
-    """One planned request's terminal fate on the live timeline."""
-
-    index: int
-    label: str
-    arrival: float
-    finished: float
-    ok: bool
-    cache_hit: bool
-    latency: float
-    outcome: str
-    #: False for refusals (shed / rate-limited / draining) and
-    #: never-submitted ``interrupted`` draws — excluded from latency
-    #: percentiles, counted in ``counts["refused"]`` / the ledger.
-    admitted: bool
 
 
 class LiveRunner:
@@ -107,7 +89,7 @@ class LiveRunner:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(self) -> tuple[list[LiveRecord], float, int]:
+    def run(self) -> tuple[list[LoadRecord], float, int]:
         """Execute; returns ``(records, wall_seconds, planned)``.
 
         Every planned request has exactly one record — admitted jobs
@@ -132,13 +114,13 @@ class LiveRunner:
     # ------------------------------------------------------------------
     # Open loop: paced submission + background poller
     # ------------------------------------------------------------------
-    def _run_open(self, t_zero: float) -> list[LiveRecord]:
+    def _run_open(self, t_zero: float) -> list[LoadRecord]:
         scenario = self.scenario
         count = scenario.job_count()
         specs = scenario.draw_specs(count)
         arrivals = scenario.arrivals(count)
         self._planned = count
-        records: list[LiveRecord] = []
+        records: list[LoadRecord] = []
         pending: dict[str, list[tuple[int, str, float]]] = {}
         lock = threading.Lock()
         submitting = threading.Event()
@@ -243,7 +225,7 @@ class LiveRunner:
     # ------------------------------------------------------------------
     # Closed loop: submit-and-wait consumers
     # ------------------------------------------------------------------
-    def _run_closed(self, t_zero: float) -> list[LiveRecord]:
+    def _run_closed(self, t_zero: float) -> list[LoadRecord]:
         scenario = self.scenario
         count = scenario.job_count()
         deadline = (
@@ -253,7 +235,7 @@ class LiveRunner:
         )
         specs = scenario.draw_specs(count) if count is not None else None
         stream = scenario.spec_stream() if specs is None else None
-        records: list[LiveRecord] = []
+        records: list[LoadRecord] = []
         lock = threading.Lock()
         cursor = {"next": 0}
 
@@ -338,7 +320,7 @@ class LiveRunner:
         arrival: float,
         finished: float,
         response,
-    ) -> LiveRecord:
+    ) -> LoadRecord:
         """An admitted job's terminal record from its last status (or
         submit) response body."""
         body = response.body if response.ok else {}
@@ -354,7 +336,7 @@ class LiveRunner:
                 latency = sojourn
         else:
             latency = sojourn
-        return LiveRecord(
+        return LoadRecord(
             index=index,
             label=label,
             arrival=arrival,
@@ -373,9 +355,9 @@ class LiveRunner:
         arrival: float,
         response,
         finished: float,
-    ) -> LiveRecord:
+    ) -> LoadRecord:
         code = response.error_code or f"http_{response.status}"
-        return LiveRecord(
+        return LoadRecord(
             index=index,
             label=label,
             arrival=arrival,
@@ -388,8 +370,8 @@ class LiveRunner:
         )
 
 
-def _interrupted_record(index: int, label: str, now: float) -> LiveRecord:
-    return LiveRecord(
+def _interrupted_record(index: int, label: str, now: float) -> LoadRecord:
+    return LoadRecord(
         index=index,
         label=label,
         arrival=now,

@@ -18,6 +18,26 @@ from .soak import Trip
 
 
 @dataclass
+class LoadRecord:
+    """One planned request's terminal fate on the run's timeline (an
+    in-process run's or a live run's)."""
+
+    index: int
+    label: str
+    arrival: float
+    finished: float
+    ok: bool
+    cache_hit: bool
+    latency: float
+    outcome: str
+    #: False for server refusals (shed / rate-limited / draining) and
+    #: never-submitted or never-dispatched ``interrupted`` draws —
+    #: excluded from the latency percentiles, which cover *admitted*
+    #: requests only.
+    admitted: bool
+
+
+@dataclass
 class LoadReport:
     """Structured outcome of one :class:`~repro.loadgen.runner.LoadRunner` run."""
 

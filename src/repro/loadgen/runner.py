@@ -30,7 +30,7 @@ import logging
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from time import perf_counter
 
 from .. import obs
@@ -38,7 +38,7 @@ from ..batch.runner import BatchRunner, TimedResult
 from ..resilience.faults import FaultPlan
 from ..resilience.policy import RetryPolicy
 from .live import LiveRunner
-from .report import LoadReport
+from .report import LoadRecord, LoadReport
 from .sampling import Sampler
 from .scenario import Scenario
 from .soak import SoakThresholds, evaluate_soak, linear_slope
@@ -48,24 +48,6 @@ logger = logging.getLogger(__name__)
 #: Jobs drawn per wave of a duration-bounded closed loop: large enough
 #: to keep pool churn negligible, small enough to respect the deadline.
 CHUNK_FACTOR = 4
-
-
-@dataclass
-class _Record:
-    """One completed request on the run's global timeline."""
-
-    index: int
-    label: str
-    arrival: float
-    finished: float
-    ok: bool
-    cache_hit: bool
-    latency: float
-    outcome: str = "ok"
-    #: False for server refusals (shed / rate-limited / draining) and
-    #: interrupted never-dispatched jobs — excluded from the latency
-    #: percentiles, which cover *admitted* requests only.
-    admitted: bool = True
 
 
 class LoadRunner:
@@ -174,20 +156,7 @@ class LoadRunner:
         finally:
             samples = sampler.finish()
         self.interrupted = live.interrupted
-        records = [
-            _Record(
-                index=o.index,
-                label=o.label,
-                arrival=o.arrival,
-                finished=o.finished,
-                ok=o.ok,
-                cache_hit=o.cache_hit,
-                latency=o.latency,
-                outcome=o.outcome,
-                admitted=o.admitted,
-            )
-            for o in sorted(outcomes, key=lambda o: o.index)
-        ]
+        records = sorted(outcomes, key=lambda o: o.index)
         return self._build_report(
             observation, records, samples, wall, submitted
         )
@@ -254,7 +223,7 @@ class LoadRunner:
         )
         sampler.start()
         t_zero = perf_counter()
-        records: list[_Record] = []
+        records: list[LoadRecord] = []
         submitted = 0
         try:
             if count is not None:
@@ -295,7 +264,7 @@ class LoadRunner:
 
     def _collect(
         self,
-        records: list[_Record],
+        records: list[LoadRecord],
         timed: list[TimedResult],
         jobs,
         offset: int,
@@ -312,7 +281,7 @@ class LoadRunner:
             else:
                 latency = max(entry.sojourn, 0.0)
             records.append(
-                _Record(
+                LoadRecord(
                     index=offset + result.job_index,
                     label=jobs[result.job_index].label,
                     arrival=t_offset + entry.arrival,
@@ -331,7 +300,7 @@ class LoadRunner:
     def _build_report(
         self,
         observation,
-        records: list[_Record],
+        records: list[LoadRecord],
         samples: list[dict],
         wall: float,
         submitted: int,
@@ -365,7 +334,7 @@ class LoadRunner:
         }
 
         width = scenario.sample_interval
-        by_window: dict[int, list[_Record]] = {}
+        by_window: dict[int, list[LoadRecord]] = {}
         for record in records:
             by_window.setdefault(int(record.finished // width), []).append(
                 record

@@ -184,16 +184,14 @@ class SpliceEditor:
 
     ``schedule`` tracks the engine's current stream as a
     :class:`~repro.sim.schedule.Schedule`, advanced through
-    :meth:`Schedule.spliced` on every committed edit — op-kind tallies
-    are derived per splice in O(window), so the pass's result carries
-    its statistics without a from-scratch recount.
+    :meth:`Schedule.spliced` on every committed edit — the kept rows'
+    columns are sliced and only the replacement ops are encoded, so
+    the pass's result carries its columns without a re-encode.
 
     The engine is built on the first :meth:`try_edit`, not before: a
     pass that finds no candidate (the common case for elision) pays no
-    replay at all.  It is built from the cache-bearing ``schedule``
-    itself, so its construction replay shares the schedule's compiled
-    columnar stream with the pass manager's engine instead of
-    re-encoding the ops.
+    replay at all.  It is built from ``schedule`` itself, so its
+    construction replay reads the schedule's own columns.
     """
 
     def __init__(self, schedule: Schedule, ctx: PassContext) -> None:

@@ -216,7 +216,7 @@ class PassManager:
         try:
             engine = CheckpointedReplay(
                 machine,
-                schedule,  # cache-bearing: shares one compiled stream
+                schedule,  # replays on the schedule's own columns
                 initial_chains,
                 observers,
             )

@@ -101,8 +101,11 @@ class GateHoisting(SchedulePass):
     def run(
         self, schedule: Schedule, ctx: PassContext
     ) -> tuple[Schedule, int]:
-        plain = list(schedule.ops)
+        plain = list(schedule)
         n = len(plain)
+        # Each op's row in ``schedule``: the result takes its rows
+        # rather than encoding the moved ops again.
+        order = list(range(n))
         if not n:
             return schedule, 0
         rewrites = 0
@@ -164,6 +167,7 @@ class GateHoisting(SchedulePass):
                 elif verdict[0]:
                     _, makespan, cand_cps = verdict
                     plain.insert(target, plain.pop(position))
+                    order.insert(target, order.pop(position))
                     rewrites += 1
                     self._apply_accept(
                         cp_indices, cp_clocks, cand_cps,
@@ -177,7 +181,7 @@ class GateHoisting(SchedulePass):
             obs.metrics.inc(f"passes.{self.name}.pruned", pruned)
         if not rewrites:
             return schedule, 0
-        return Schedule(plain), rewrites
+        return schedule.take(order), rewrites
 
     @staticmethod
     def _crosses_move(

@@ -218,12 +218,6 @@ class TestMachine:
         with pytest.raises(TrapError):
             uniform_machine(topo, 4, 1)
 
-    def test_check_fits(self):
-        machine = l6_machine()
-        machine.check_fits(90)
-        with pytest.raises(TrapError):
-            machine.check_fits(91)
-
     def test_presets(self):
         assert linear_machine(3).num_traps == 3
         assert ring_machine(4).num_traps == 4

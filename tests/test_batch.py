@@ -33,8 +33,9 @@ from repro.circuits.circuit import Circuit
 from repro.compiler.compiler import QCCDCompiler
 from repro.compiler.config import CompilerConfig
 from repro.compiler.mapping import greedy_initial_mapping
-from repro.core.ops import ShuttleReason
+from repro.core.ops import MoveOp, ShuttleReason
 from repro.core.params import DEFAULT_PARAMS
+from repro.core.vector import CompiledStream
 from repro.eval.harness import BenchmarkComparison, compare, run_suite
 from repro.sim.schedule import Schedule
 from repro.sim.simulator import Simulator
@@ -279,6 +280,33 @@ class TestCache:
         assert path.with_suffix(".pkl.corrupt").exists()
         assert cache.get(key) is None  # quarantined: a plain miss now
         assert cache.stats.corrupt == 1
+
+    def test_stale_wrapped_stream_entry_is_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry pickled in the retired format-2 layout (the stream
+        wrapped as ``{"_stream": ..., "_kind_counts": ...}``) is a
+        counted, quarantined miss."""
+        pytest.importorskip("numpy", exc_type=ImportError)
+        stream = CompiledStream([MoveOp(3, 0, 1)])
+        old_stream = dict(stream.__getstate__(), version=2)
+        old_state = {"_stream": stream, "_kind_counts": {"move": 1}}
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                CompiledStream,
+                "__getstate__",
+                lambda self: old_stream if self is stream else old_state,
+            )
+            blob = pickle.dumps({"schedule": Schedule()})
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" + "c" * 62
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert cache.get(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert path.with_suffix(".pkl.corrupt").exists()
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -11,7 +11,7 @@ tests pin the equalities the replacements rest on (DESIGN.md §16):
 * the circuit memoizes its dependency DAG and the future-gate index's
   static arrays for the compiler, which leaves no trace in its pickle,
   its equality or its fingerprint, and is rebuilt after an append;
-* ``compile_stream`` fills its columns unchecked and checks them in
+* the stream encoder fills its columns unchecked and checks them in
   bulk, and matches the per-field checking loop it replaced (kept
   below as the oracle) column for column and flag for flag.
 """
@@ -218,13 +218,14 @@ def test_interned_schedule_pickles_like_fresh_ops(config_name, monkeypatch):
     clone = pickle.loads(pickle.dumps(schedule))
     assert clone == schedule
     assert [type(op) for op in clone] == [type(op) for op in schedule]
-    # The tally travels even when nothing asked for it before the
-    # pickle: a loaded schedule (a cache hit's) need not recount.
-    assert clone._kind_counts == dict(schedule.count_kinds())
+    # The columns travel: a loaded schedule (a cache hit's) reads its
+    # statistics off them without re-encoding its ops.
+    assert clone._columns() == schedule._columns()
+    assert clone.count_kinds() == schedule.count_kinds()
 
     # Without numpy a schedule pickles as its op objects; pickle's memo
     # may share repeated ops, and the load must still be equal.
-    monkeypatch.setattr("repro.sim.schedule.HAVE_NUMPY", False)
+    monkeypatch.setattr("repro.core.vector.HAVE_NUMPY", False)
     blob = pickle.dumps(schedule)
     assert "_ops" in schedule.__getstate__()
     assert len(blob) <= len(pickle.dumps(twin))
@@ -291,7 +292,7 @@ def test_memo_leaves_no_trace_in_pickle_equality_or_fingerprint():
 
 
 # ----------------------------------------------------------------------
-# compile_stream against the per-field loop it replaced
+# The stream encoder against the per-field loop it replaced
 # ----------------------------------------------------------------------
 def reference_columns(ops):
     """The column encoding as the per-field checking loop built it."""
@@ -421,18 +422,16 @@ def assert_matches_reference(ops):
     assert typed(stream.b_l) == typed(col_b)
     assert typed(stream.c_l) == typed(col_c)
     assert typed(stream.d_l) == typed(col_d)
-    assert stream.kind.tolist() == kind
-    for column, expected in ((stream.a, col_a), (stream.b, col_b), (stream.c, col_c)):
-        assert column.dtype.name == "int64"
-        assert column.tolist() == [int(v) for v in expected]
+    if HAVE_NUMPY:
+        kind_array, *fields = stream.arrays()
+        assert kind_array.tolist() == kind
+        for column, expected in zip(fields, (col_a, col_b, col_c)):
+            assert column.dtype.name == "int64"
+            assert column.tolist() == [int(v) for v in expected]
     assert stream.needs_scalar == any(k >= K_SWAP for k in kind)
-    assert stream.ops == list(ops)
+    assert list(stream) == list(ops)
 
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
-
-
-@needs_numpy
 def test_compile_stream_matches_reference_on_adversarial_ops():
     ops = adversarial_ops()
     assert_matches_reference(ops)
@@ -440,7 +439,6 @@ def test_compile_stream_matches_reference_on_adversarial_ops():
     assert K_OTHER in stream.kind_l and K_GATE in stream.kind_l
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(12))
 def test_compile_stream_matches_reference_on_mixed_streams(seed):
     """Mostly clean streams with a few odd rows: the bulk check must
@@ -453,7 +451,6 @@ def test_compile_stream_matches_reference_on_mixed_streams(seed):
     assert_matches_reference(ops)
 
 
-@needs_numpy
 @pytest.mark.parametrize("edge", EDGES)
 def test_one_out_of_range_int_flags_only_its_row(edge):
     ops = list(compiled("baseline").schedule)[:200]
@@ -461,28 +458,64 @@ def test_one_out_of_range_int_flags_only_its_row(edge):
     assert_matches_reference(ops)
 
 
-@needs_numpy
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 def test_compile_stream_matches_reference_on_compiled_schedules(config_name):
     assert_matches_reference(list(compiled(config_name).schedule))
 
 
-@needs_numpy
 @pytest.mark.parametrize("source", ["compiled", "adversarial"])
 def test_two_qubit_gate_count_from_the_stream(source):
-    """A replayed schedule counts its two-qubit gates off the ``d``
-    column; the count must equal the op scan's, also when odd rows
-    leave the stream incomplete."""
+    """A schedule counts its two-qubit gates off the ``d`` column;
+    the count must equal the op scan's, also when odd rows leave the
+    columns incomplete."""
     if source == "compiled":
         ops = list(compiled("this-work").schedule)
     else:
         ops = [op for op in adversarial_ops() if type(op) is not SwapOp]
         ops.append(GateOp(Gate("ms", (4, 5)), 1))
-    scanned = Schedule(ops).num_two_qubit_gates
-    schedule = Schedule(ops)
-    compile_stream(schedule)
-    assert schedule.num_two_qubit_gates == scanned
-    assert scanned == sum(
+    assert Schedule(ops).num_two_qubit_gates == sum(
         1 for op in ops if isinstance(op, GateOp) and len(op.gate.qubits) == 2
     )
 
+
+
+# ----------------------------------------------------------------------
+# One encoding per op
+# ----------------------------------------------------------------------
+def test_each_op_is_encoded_once_per_schedule(monkeypatch):
+    """compile -> default passes -> simulate -> pickle round trip: the
+    compiled schedule is encoded once, in bulk; after that only splice
+    replacements are (``tighten`` takes rows, replay and pickling read
+    the columns as they are)."""
+    from repro.core import vector
+    from repro.sim.simulator import Simulator
+
+    encoded: list[int] = []
+    encode = vector._encode
+    monkeypatch.setattr(
+        vector, "_encode", lambda ops: encoded.append(len(ops)) or encode(ops)
+    )
+    replacements: list[int] = []
+    spliced = vector.CompiledStream.spliced
+
+    def counting_spliced(self, start, end, replacement=()):
+        replacement = list(replacement)
+        replacements.append(len(replacement))
+        return spliced(self, start, end, replacement)
+
+    monkeypatch.setattr(vector.CompiledStream, "spliced", counting_spliced)
+    machine = l6_machine()
+    config = CompilerConfig.optimized().variant(post_passes=("default",))
+    result = QCCDCompiler(machine, config).compile(random_circuit(60, 1400, 1))
+    rewrites = {stats.name: stats.rewrites for stats in result.pass_stats}
+    assert rewrites["fuse-merge-split"] > 0 and rewrites["tighten-gates"] > 0
+    assert replacements
+    assert encoded == [result.raw_num_ops] + replacements
+
+    Simulator(machine).run(result.schedule, result.initial_chains)
+    clone = pickle.loads(pickle.dumps(result.schedule))
+    assert clone == result.schedule
+    assert clone._columns() == result.schedule._columns()
+    # Without numpy the state is the op objects, encoded on load.
+    reloaded = [] if HAVE_NUMPY else [len(clone)]
+    assert encoded == [result.raw_num_ops] + replacements + reloaded

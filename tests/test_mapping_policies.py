@@ -33,7 +33,7 @@ class TestRoundRobin:
             assert len(chain) <= m.trap(trap_id).load_capacity
 
     def test_rejects_oversize(self):
-        with pytest.raises(Exception):
+        with pytest.raises(CompilationError):
             round_robin_initial_mapping(Circuit(100), machine())
 
 
@@ -53,6 +53,10 @@ class TestRandomMapping:
         placed = sorted(q for c in chains.values() for q in c)
         assert placed == list(range(10))
 
+    def test_rejects_oversize(self):
+        with pytest.raises(CompilationError):
+            random_initial_mapping(Circuit(100), machine(), seed=3)
+
 
 class TestDispatch:
     def test_known_policies(self):
@@ -64,6 +68,17 @@ class TestDispatch:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             initial_mapping(Circuit(4), machine(), policy="psychic")
+
+    def test_load_capacity_boundary(self):
+        # L6 loads 90 ions (6 traps x (17 - 2) communication-free slots):
+        # every policy maps 90 qubits and refuses 91 the same way.
+        m = l6_machine()
+        assert m.load_capacity == 90
+        for policy in MAPPING_POLICIES:
+            chains = initial_mapping(Circuit(90), m, policy=policy)
+            assert sum(len(c) for c in chains.values()) == 90
+            with pytest.raises(CompilationError, match="load only 90"):
+                initial_mapping(Circuit(91), m, policy=policy)
 
 
 class TestMappingStudy:

@@ -15,6 +15,7 @@ from repro.core.ops import (
     SplitOp,
     SwapOp,
 )
+from repro.core import vector
 from repro.core.vector import (
     HAVE_NUMPY,
     STREAM_FORMAT,
@@ -132,34 +133,57 @@ class TestHashing:
 class TestSpliced:
     def test_spliced_ops_and_counts(self):
         schedule = mixed_schedule()
-        _ = schedule.num_shuttles  # force the kind tally into existence
         replacement = [SplitOp(ion=3, trap=0), MergeOp(ion=3, trap=0)]
         out = schedule.spliced(2, 4, replacement)
         expected = Schedule(
             list(schedule.ops[:2]) + replacement + list(schedule.ops[4:])
         )
         assert out == expected
-        # Derived counts match a from-scratch tally.
+        # Sliced columns match a from-scratch encoding.
+        assert out._columns() == expected._columns()
         assert out.count_kinds() == expected.count_kinds()
         assert out.num_shuttles == 0
         assert out.num_splits == 2
         assert hash(out) == hash(expected)
 
-    def test_spliced_without_counts_stays_lazy(self):
+    def test_spliced_encodes_only_the_replacement(self, monkeypatch):
         schedule = mixed_schedule()
-        out = schedule.spliced(0, 1)
-        assert out._kind_counts is None
-        assert len(out) == 5
-        assert out.num_shuttles == 2
+        encoded = []
+        encode = vector._encode
+        monkeypatch.setattr(
+            vector, "_encode", lambda ops: encoded.append(len(ops)) or encode(ops)
+        )
+        out = schedule.spliced(1, 5, [SplitOp(ion=3, trap=0)])
+        assert encoded == [1]
+        assert len(out) == 3
+        assert out.num_shuttles == 0
+        assert out._columns() == Schedule(out.ops)._columns()
 
     def test_spliced_pure_insertion(self):
         schedule = mixed_schedule()
-        _ = schedule.count_kinds()
         extra = [GateOp(gate=Gate("h", (1,)), trap=0)]
         out = schedule.spliced(3, 3, extra)
         assert len(out) == 7
         assert out.num_gates == 3
         assert out.count_kinds() == Schedule(out.ops).count_kinds()
+
+    def test_take_reorders_rows_without_encoding(self, monkeypatch):
+        schedule = mixed_schedule()
+        order = [5, 0, 1, 2, 3, 4]
+        monkeypatch.setattr(vector, "_encode", None)  # any encode fails
+        out = schedule.take(order)
+        monkeypatch.undo()
+        assert type(out) is Schedule
+        assert out.ops == tuple(schedule.ops[i] for i in order)
+        assert out._columns() == Schedule(out.ops)._columns()
+
+    def test_growth_keeps_the_columns_in_step(self):
+        schedule = Schedule()
+        for op in mixed_schedule():
+            schedule.append(op)
+        schedule.extend(mixed_schedule().ops[:3])
+        assert schedule._columns() == Schedule(schedule.ops)._columns()
+        assert schedule.num_shuttles == 3
 
 
 class TracedMove(MoveOp):
@@ -195,14 +219,7 @@ ROUND_TRIP_CASES["mixed"] = [
 
 def _columns(ops):
     stream = compile_stream(list(ops))
-    return (
-        stream.kind.tolist(),
-        stream.a.tolist(),
-        stream.b.tolist(),
-        stream.c.tolist(),
-        stream.d_l,
-        stream.needs_scalar,
-    )
+    return stream._columns(), stream.needs_scalar
 
 
 class TestPickle:
@@ -211,7 +228,7 @@ class TestPickle:
     )
     def test_round_trip(self, ops):
         schedule = Schedule(ops)
-        tally = schedule.count_kinds()  # the tally travels in the state
+        tally = schedule.count_kinds()
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone == schedule
         assert [type(op) for op in clone] == [type(op) for op in ops]
@@ -220,50 +237,53 @@ class TestPickle:
         assert Schedule(clone.ops).count_kinds() == tally
         assert clone.num_two_qubit_gates == schedule.num_two_qubit_gates
         assert clone.shuttles_by_reason() == schedule.shuttles_by_reason()
-        if HAVE_NUMPY:
-            assert _columns(clone.ops) == _columns(ops)
+        assert _columns(clone.ops) == _columns(ops)
+        # The decoded columns are the ones the decoded ops encode to.
+        assert (clone._columns(), clone.needs_scalar) == _columns(clone.ops)
 
     def test_shallow_copy_owns_its_ops(self):
         schedule = mixed_schedule()
-        if HAVE_NUMPY:
-            compile_stream(schedule)  # the state then carries this stream
         clone = copy.copy(schedule)
         clone.append(SplitOp(5, 0))
         assert len(schedule) == len(clone) - 1
-        if HAVE_NUMPY:
-            assert len(schedule._compiled_stream.ops) == len(schedule)
+        assert all(len(column) == len(schedule) for column in schedule._columns())
 
     def test_pickling_attaches_no_stream(self):
         schedule = mixed_schedule()
         pickle.dumps(schedule)
-        assert schedule._compiled_stream is None
+        assert schedule._arrays is None  # no ndarray twins kept
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
     def test_pickling_reuses_the_replay_stream(self):
+        """The state is the schedule's own columns, narrowed."""
         schedule = mixed_schedule()
-        stream = compile_stream(schedule)
-        assert schedule.__getstate__()["_stream"] is stream
+        state = schedule.__getstate__()
+        assert state["version"] == STREAM_FORMAT
+        assert state["kind"].tolist() == schedule.kind_l
+        for name, column in zip("abc", schedule._columns()[1:4]):
+            assert state[name].tolist() == column
         clone = pickle.loads(pickle.dumps(schedule))
         assert clone == schedule
-        assert clone._compiled_stream is None
+        assert clone._columns() == schedule._columns()
+        assert clone._arrays is None
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
     def test_stream_round_trip(self):
         ops = ROUND_TRIP_CASES["mixed"]
         stream = compile_stream(ops)
         clone = pickle.loads(pickle.dumps(stream))
+        assert type(clone) is CompiledStream
         assert clone.ops == stream.ops
-        for name in ("kind", "a", "b", "c"):
-            column, restored = getattr(stream, name), getattr(clone, name)
+        assert clone._columns() == stream._columns()
+        assert clone.needs_scalar == stream.needs_scalar
+        for column, restored in zip(stream.arrays(), clone.arrays()):
             assert restored.dtype == column.dtype
             assert restored.tolist() == column.tolist()
-        for name in ("kind_l", "a_l", "b_l", "c_l", "d_l", "needs_scalar"):
-            assert getattr(clone, name) == getattr(stream, name)
         state = stream.__getstate__()
-        assert "ops" not in state and "_plans" not in state
+        assert not {"_ops", "_arrays", "_plans"} & set(state)
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="columns need numpy")
-    @pytest.mark.parametrize("version", [None, 1, STREAM_FORMAT + 1])
+    @pytest.mark.parametrize("version", [None, 1, 2, STREAM_FORMAT + 1])
     def test_unknown_stream_format_rejected(self, version):
         state = compile_stream(mixed_schedule().ops).__getstate__()
         if version is None:
@@ -399,3 +419,28 @@ class TestCorruptStreamDecode:
         assert cache.stats.corrupt == 1
         assert not path.exists()
         assert path.with_suffix(".pkl.corrupt").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda state: state["kind"].__setitem__(1, 9),
+            lambda state: state["kind"].__setitem__(1, 5),
+        ],
+        ids=["unknown-kind", "other-row-without-op"],
+    )
+    def test_rows_the_ops_cannot_back_are_rejected(self, corrupt, monkeypatch):
+        blob = _corrupt_blob(corrupt, monkeypatch)
+        with pytest.raises(ValueError, match="stream"):
+            pickle.loads(blob)
+
+    def test_verbatim_rows_take_their_columns_from_their_ops(self, monkeypatch):
+        """A verbatim op's row is re-encoded from the op, so the kept
+        columns never disagree with the decoded ops."""
+
+        def mislabel(state):
+            state["other"].append((1, SplitOp(2, 1)))
+            state["kind"][1] = 0  # claims to be a gate
+
+        clone = pickle.loads(_corrupt_blob(mislabel, monkeypatch))["schedule"]
+        assert clone[1] == SplitOp(2, 1)
+        assert clone._columns() == Schedule(clone.ops)._columns()
