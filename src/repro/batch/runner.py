@@ -39,6 +39,7 @@ from time import perf_counter, sleep
 from ..compiler.compiler import QCCDCompiler
 from ..compiler.mapping import greedy_initial_mapping
 from ..compiler.result import CompilationResult
+from ..core.ops import ShuttleReason
 from ..obs import active as _obs_active
 from ..obs import collect as _obs_collect
 # Only the dependency-free half of repro.resilience (faults/policy) may
@@ -253,6 +254,38 @@ def cache_entry(job_result: JobResult) -> JobResult:
         attempt_seconds=None,
         metrics=None,
     )
+
+
+def result_payload(job_result: JobResult) -> dict:
+    """The summary of a successful job: the JSON artifact document
+    ``repro serve`` returns, and what a cache entry stores beside the
+    result (:meth:`~repro.batch.cache.ResultCache.summary`)."""
+    result = job_result.result
+    by_reason = result.shuttles_by_reason()
+    payload = {
+        "circuit": result.circuit_name,
+        "config": result.config_name,
+        "num_gates": result.num_gates,
+        "num_shuttles": result.num_shuttles,
+        "gate_routing_shuttles": by_reason.get(ShuttleReason.GATE, 0),
+        "rebalance_shuttles": by_reason.get(ShuttleReason.REBALANCE, 0),
+        "num_reorders": result.num_reorders,
+        "num_rebalances": result.num_rebalances,
+        "compile_time": result.compile_time,
+    }
+    if result.optimized:
+        payload["raw_num_shuttles"] = result.raw_num_shuttles
+        payload["shuttles_removed_by_passes"] = (
+            result.shuttles_removed_by_passes
+        )
+    if job_result.report is not None:
+        report = job_result.report
+        payload["simulation"] = {
+            "log10_fidelity": report.log10_fidelity,
+            "duration": report.duration,
+            "max_nbar": report.max_nbar,
+        }
+    return payload
 
 
 class BatchRunner:

@@ -3,9 +3,9 @@
 Wraps a :class:`~repro.batch.cache.ResultCache` and garbles entry
 *files* on disk per a :class:`~repro.resilience.faults.FaultPlan` —
 write corruption right after a ``put``, read corruption right before a
-``get``.  The corruption is real (the bytes on disk are truncated and
-prefixed with garbage), so what gets exercised is the cache's own
-defense: :meth:`ResultCache.get` must quarantine the unreadable entry,
+``get`` or ``summary``.  The corruption is real (the bytes on disk are
+truncated and prefixed with garbage), so what gets exercised is the
+cache's own defense: either read must quarantine the unreadable entry,
 count ``cache.corrupt``, report a miss, and let the runner recompute —
 zero lost jobs, merely colder caches.
 
@@ -27,9 +27,10 @@ GARBLE_PREFIX = b"\x00REPRO-CHAOS\x00"
 class ChaosCache:
     """A :class:`ResultCache` proxy that injects entry-file corruption.
 
-    Duck-types the cache protocol (``get`` / ``put`` / ``stats`` /
-    ``__len__``), so :class:`~repro.batch.runner.BatchRunner` uses it
-    unchanged.
+    Duck-types the cache protocol (``get`` / ``summary`` / ``put`` /
+    ``stats`` / ``__len__``), so
+    :class:`~repro.batch.runner.BatchRunner` and
+    :class:`~repro.serve.service.CompileService` use it unchanged.
     """
 
     def __init__(self, inner: ResultCache, plan: FaultPlan) -> None:
@@ -45,16 +46,25 @@ class ChaosCache:
         return self.inner.stats
 
     def get(self, key: str):
+        self._before_read(key)
+        return self.inner.get(key)
+
+    def summary(self, key: str):
+        self._before_read(key)
+        return self.inner.summary(key)
+
+    def put(self, key: str, value, summary: dict | None = None) -> None:
+        self.inner.put(key, value, summary)
+        if self.plan.corrupt_write(key) and self._garble(key):
+            self.corrupted_writes += 1
+
+    def _before_read(self, key: str) -> None:
+        """Draw the next read-corruption decision for ``key`` (one
+        stream shared by ``get`` and ``summary``) and apply it."""
         lookup = self._lookups.get(key, 0)
         self._lookups[key] = lookup + 1
         if self.plan.corrupt_read(key, lookup) and self._garble(key):
             self.corrupted_reads += 1
-        return self.inner.get(key)
-
-    def put(self, key: str, value) -> None:
-        self.inner.put(key, value)
-        if self.plan.corrupt_write(key) and self._garble(key):
-            self.corrupted_writes += 1
 
     def _garble(self, key: str) -> bool:
         """Truncate-and-prefix the entry file for ``key``; True if an

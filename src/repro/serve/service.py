@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from time import monotonic, time
 
 from ..batch.cache import NullCache, ResultCache
-from ..batch.runner import JobResult, cache_entry
+from ..batch.runner import JobResult, cache_entry, result_payload
 from ..batch.spec import JobSpec
 from ..obs import active as _obs_active
 from ..resilience.policy import RetryPolicy
@@ -64,35 +64,6 @@ from .errors import ServeError, outcome_to_code
 
 #: EWMA weight for observed service times (Retry-After estimation).
 _EWMA_ALPHA = 0.3
-
-
-def result_payload(job_result: JobResult) -> dict:
-    """The JSON artifact document for a finished-ok job."""
-    result = job_result.result
-    payload = {
-        "circuit": result.circuit_name,
-        "config": result.config_name,
-        "num_gates": result.num_gates,
-        "num_shuttles": result.num_shuttles,
-        "gate_routing_shuttles": result.gate_routing_shuttles,
-        "rebalance_shuttles": result.rebalance_shuttles,
-        "num_reorders": result.num_reorders,
-        "num_rebalances": result.num_rebalances,
-        "compile_time": result.compile_time,
-    }
-    if result.optimized:
-        payload["raw_num_shuttles"] = result.raw_num_shuttles
-        payload["shuttles_removed_by_passes"] = (
-            result.shuttles_removed_by_passes
-        )
-    if job_result.report is not None:
-        report = job_result.report
-        payload["simulation"] = {
-            "log10_fidelity": report.log10_fidelity,
-            "duration": report.duration,
-            "max_nbar": report.max_nbar,
-        }
-    return payload
 
 
 @dataclass
@@ -224,8 +195,9 @@ class CompileService:
                 self._count("serve.rejected")
             raise ServeError("validation", str(exc)) from exc
         # Entries are content-addressed and immutable, so the read
-        # needs no coordination with the job table.
-        cached = self.cache.get(fingerprint)
+        # needs no coordination with the job table.  A hit reads the
+        # stored summary only; the schedule is never decoded.
+        cached = self.cache.summary(fingerprint)
         with self._lock:
             self._count("serve.requests")
             if self._draining or self._stop.is_set():
@@ -262,9 +234,7 @@ class CompileService:
                 self._records[record.job_id] = record
                 self._count("serve.admitted")
                 self._count("serve.cache_hits")
-                # A hit carries no timing: the record's ``seconds``
-                # stays ``None``.
-                self._complete(record, cached, cache_hit=True)
+                self._complete(record, None, cached)
                 return record
             if self._pending >= self.config.max_queue_depth:
                 self._count("serve.shed")
@@ -429,26 +399,43 @@ class CompileService:
 
     def _on_terminal(self, job_result: JobResult) -> None:
         record = self._running.pop(job_result.job_index)
+        summary = None
         if job_result.ok:
-            # Atomic content-addressed write (collector thread only) —
+            # One summary serves the record and the cache entry.  The
+            # atomic content-addressed write (collector thread only) is
             # kept outside the lock like the read side.
-            self.cache.put(job_result.fingerprint, cache_entry(job_result))
+            entry = cache_entry(job_result)
+            summary = result_payload(entry)
+            self.cache.put(job_result.fingerprint, entry, summary)
         with self._lock:
-            self._complete(record, job_result, cache_hit=False)
+            self._complete(record, job_result, summary)
 
     def _complete(
-        self, record: JobRecord, job_result: JobResult, cache_hit: bool
+        self,
+        record: JobRecord,
+        job_result: JobResult | None,
+        summary: dict | None,
     ) -> None:
-        """Mark a record terminal.  Held-lock caller."""
+        """Mark a record terminal: from a supervisor result, or, when
+        ``job_result`` is ``None``, from a cache hit's ``summary``.
+        Held-lock caller."""
         record.state = "done"
-        record.outcome = job_result.outcome
-        record.cache_hit = cache_hit
         record.finished_at = time()
         record._finished_mono = monotonic()
+        if job_result is None:
+            # What the stored entry says (``cache_entry``): ok, one
+            # attempt, no timing.
+            record.outcome = "ok"
+            record.cache_hit = True
+            record.attempts = 1
+            record.result = summary
+            self._count("serve.completed.ok")
+            return
+        record.outcome = job_result.outcome
         record.seconds = job_result.seconds
         record.attempts = job_result.attempts
         if job_result.ok:
-            record.result = result_payload(job_result)
+            record.result = summary
         else:
             code = outcome_to_code(job_result.outcome)
             record.error = ServeError(
@@ -457,20 +444,19 @@ class CompileService:
                 detail={"outcome": job_result.outcome},
             ).envelope()
         self._count(f"serve.completed.{record.outcome}")
-        if not cache_hit:
-            self._inflight.pop(record.fingerprint, None)
-            self._pending -= 1
-            self._gauge("serve.queue_depth", self._pending)
-            if job_result.seconds is not None:
-                self._observe("serve.service_seconds", job_result.seconds)
-                prev = self._service_ewma
-                self._service_ewma = (
-                    job_result.seconds
-                    if prev is None
-                    else (1 - _EWMA_ALPHA) * prev
-                    + _EWMA_ALPHA * job_result.seconds
-                )
-            self._idle.notify_all()
+        self._inflight.pop(record.fingerprint, None)
+        self._pending -= 1
+        self._gauge("serve.queue_depth", self._pending)
+        if job_result.seconds is not None:
+            self._observe("serve.service_seconds", job_result.seconds)
+            prev = self._service_ewma
+            self._service_ewma = (
+                job_result.seconds
+                if prev is None
+                else (1 - _EWMA_ALPHA) * prev
+                + _EWMA_ALPHA * job_result.seconds
+            )
+        self._idle.notify_all()
 
     def _hard_stop(self) -> None:
         """Drain deadline passed: mark everything still in flight

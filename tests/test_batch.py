@@ -27,6 +27,8 @@ from repro.batch import (
     write_csv,
     write_json,
 )
+from repro.batch.cache import CACHE_FORMAT
+from repro.batch.runner import cache_entry, result_payload
 from repro.bench import random_circuit
 from repro.bench.suite import paper_suite
 from repro.circuits.circuit import Circuit
@@ -308,6 +310,73 @@ class TestCache:
         assert cache.stats.corrupt == 1
         assert path.with_suffix(".pkl.corrupt").exists()
 
+    def test_summary_is_stored_beside_the_result(self, tmp_path):
+        """An entry holds the job's summary next to its result, and
+        reading the summary counts as a hit like ``get`` does."""
+        cache = ResultCache(tmp_path / "cache")
+        [job_result] = BatchRunner(cache=cache).run([golden_job()])
+        key = job_result.fingerprint
+        summary = cache.summary(key)
+        assert summary == result_payload(cache.get(key))
+        assert summary == result_payload(job_result)
+        assert summary["num_shuttles"] == job_result.result.num_shuttles
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
+    @pytest.mark.parametrize("read", ["get", "summary"])
+    @pytest.mark.parametrize("layout", ["bare", "stale-format", "bad-result"])
+    def test_entry_in_another_layout_is_quarantined(
+        self, tmp_path, read, layout
+    ):
+        """A bare pickled ``JobResult`` (the layout before summaries),
+        a tuple of another format, or result bytes that will not load
+        are counted, quarantined misses for either read."""
+        job_result = cache_entry(BatchRunner().run([golden_job()])[0])
+        result_bytes = pickle.dumps(job_result)
+        entry = {
+            "bare": job_result,
+            "stale-format": (
+                CACHE_FORMAT + 1,
+                result_payload(job_result),
+                result_bytes,
+            ),
+            "bad-result": (
+                CACHE_FORMAT,
+                result_payload(job_result),
+                b"not a pickle",
+            ),
+        }[layout]
+        cache = ResultCache(tmp_path / "cache")
+        key = job_result.fingerprint
+        path = cache._path(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps(entry))
+        if layout == "bad-result" and read == "summary":
+            # Only the outer tuple is read: its summary is served.
+            assert cache.summary(key) == result_payload(job_result)
+            return
+        assert getattr(cache, read)(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 1
+        assert not path.exists()
+        assert path.with_suffix(".pkl.corrupt").exists()
+        assert getattr(cache, read)(key) is None  # a plain miss now
+        assert cache.stats.corrupt == 1
+
+    def test_summary_of_an_entry_stored_without_one_is_a_miss(
+        self, tmp_path
+    ):
+        """A value with no summary is a counted miss on a summary read,
+        but not corrupt: the entry stays and ``get`` still serves it."""
+        cache = ResultCache(tmp_path / "cache")
+        key = "ab" + "c" * 62
+        cache.put(key, [1, 2, 3])
+        assert cache.summary(key) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.corrupt == 0
+        assert cache._path(key).exists()
+        assert cache.get(key) == [1, 2, 3]
+        assert cache.stats.hits == 1
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cache.put("ab" + "c" * 62, 1)
@@ -319,8 +388,9 @@ class TestCache:
         cache = NullCache()
         cache.put("ab" + "c" * 62, 1)
         assert cache.get("ab" + "c" * 62) is None
+        assert cache.summary("ab" + "c" * 62) is None
         assert cache.stats.hits == 0
-        assert cache.stats.misses == 1
+        assert cache.stats.misses == 2
 
 
 class TestCacheCrashSafety:

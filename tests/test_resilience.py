@@ -480,6 +480,32 @@ class TestChaosCache:
         assert cache.get(key) is None  # lookup 1: corrupted -> miss
         assert cache.corrupted_reads == 1
 
+    def test_summary_read_shares_the_read_corruption_stream(self, tmp_path):
+        """``summary`` draws from the same per-key stream as ``get``,
+        and a garbled entry is a counted, quarantined miss on a
+        summary read."""
+        inner = ResultCache(tmp_path / "cache")
+        key = "de" + "f" * 62
+        plan = next(
+            p
+            for p in (
+                FaultPlan(seed=s, cache_read_corrupt_rate=0.5)
+                for s in range(100)
+            )
+            if not p.corrupt_read(key, 0) and p.corrupt_read(key, 1)
+        )
+        cache = ChaosCache(inner, plan)
+        cache.put(key, {"payload": 3}, {"num_shuttles": 5})
+        assert cache.get(key) == {"payload": 3}  # lookup 0: clean hit
+        with obs.observe() as observation:
+            assert cache.summary(key) is None  # lookup 1: corrupted
+        assert cache.corrupted_reads == 1
+        assert inner.stats.corrupt == 1
+        assert observation.metrics.counter("cache.corrupt") == 1
+        assert observation.metrics.counter("cache.misses") == 1
+        assert len(inner) == 0
+        assert list((tmp_path / "cache").rglob("*.pkl.corrupt"))
+
     def test_chaos_cache_end_to_end_recomputes(self, tmp_path):
         jobs = tiny_jobs(3)
         plan = FaultPlan(seed=1, cache_write_corrupt_rate=1.0)

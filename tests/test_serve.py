@@ -26,6 +26,7 @@ from time import monotonic, sleep
 import pytest
 
 from repro.batch.cache import NullCache, ResultCache
+from repro.batch.runner import result_payload
 from repro.batch.spec import MAX_TRAPS, JobSpec
 from repro.loadgen import LiveRunner, LoadRunner
 from repro.loadgen.scenario import Scenario, WorkloadItem
@@ -473,10 +474,48 @@ class TestLifecycle:
         )
         assert serve_entry.attempts == 1
         assert serve_entry.attempt_seconds is None
+        # Both writers store the summary a hit is served from.
+        for root in ("runner", "serve"):
+            cache = ResultCache(tmp_path / root)
+            assert cache.summary(key) == result_payload(cache.get(key))
         hit = CompileService(FAST_CONFIG, ResultCache(tmp_path / "serve"))
         record = hit.submit(payload, "bob")
         assert record.cache_hit is True
         assert hit.status(record.job_id)["attempts"] == 1
+        assert hit.artifacts(record.job_id)["result"] == result_payload(
+            serve_entry
+        )
+
+    def test_served_hit_never_decodes_the_schedule(
+        self, tmp_path, monkeypatch
+    ):
+        """A hit is served from the entry's stored summary: with
+        schedule decoding broken, submit -> status -> artifacts return
+        the same bodies."""
+        from repro.core.vector import CompiledStream
+
+        payload = tiny_payload(seed=13)
+        with CompileService(FAST_CONFIG, ResultCache(tmp_path)) as service:
+            fresh = wait_done(service, service.submit(payload, "alice").job_id)
+            assert service.drain() is True
+
+        def served_hit() -> tuple[str, str]:
+            hit = CompileService(FAST_CONFIG, ResultCache(tmp_path))
+            record = hit.submit(payload, "bob")
+            status = hit.status(record.job_id)
+            assert status["cache_hit"] is True
+            assert (status["seconds"], status["attempts"]) == (None, 1)
+            del status["submitted_at"], status["finished_at"]
+            return json.dumps(status), json.dumps(hit.artifacts(record.job_id))
+
+        expected = served_hit()
+
+        def refuse(self, state):
+            raise AssertionError("a served cache hit decoded a schedule")
+
+        monkeypatch.setattr(CompiledStream, "__setstate__", refuse)
+        assert served_hit() == expected
+        assert json.loads(expected[0])["fingerprint"] == fresh["fingerprint"]
 
     def test_housekeeper_expires_done_records(self):
         with CompileService(FAST_CONFIG) as service:
