@@ -142,15 +142,30 @@ def test_load_harness_vs_baseline(results_dir):
             serial.metrics["counters"].get(key)
             == parallel.metrics["counters"].get(key)
         ), f"counter {key} differs between serial and parallel runs"
-    assert serial.counts == parallel.counts
+    assert serial.counts == parallel.counts, (
+        f"outcome counts differ: serial (1 consumer) {serial.counts}, "
+        f"parallel (2 consumers) {parallel.counts}"
+    )
     serial_hist = serial.metrics["histograms"]["load.latency_seconds"]
     parallel_hist = parallel.metrics["histograms"]["load.latency_seconds"]
-    assert serial_hist["count"] == parallel_hist["count"]
+    assert serial_hist["count"] == parallel_hist["count"], (
+        "load.latency_seconds histogram mass differs: serial (1 "
+        f"consumer) {serial_hist['count']}, parallel (2 consumers) "
+        f"{parallel_hist['count']}"
+    )
 
     # The pinned run must conclude clean: nothing trips, and the
     # sub-second memory series stays inconclusive instead of
     # extrapolating allocator warm-up into a fake leak.
-    assert serial.passed and parallel.passed
+    for run, report in (("serial", serial), ("parallel", parallel)):
+        assert report.passed, (
+            f"the {run} run ({report.consumers} consumers) tripped soak "
+            "detectors: "
+            + ", ".join(
+                f"{trip.name}={trip.value} (threshold {trip.threshold})"
+                for trip in report.tripped
+            )
+        )
 
     # Host speed: the serial wall time restated at the recording's
     # host speed, by the ratio of the reference loop's times.

@@ -85,7 +85,7 @@ class CompilerConfig:
         Post-compilation schedule-optimization passes
         (:mod:`repro.passes`) applied, in order, to the emitted
         schedule: each named pass rewrites the op stream (round-trip
-        elision, merge/split fusion, congestion re-routing, gate
+        deletion with merge/split fusion, congestion re-routing, gate
         hoisting), is verified for machine legality and circuit
         equivalence, and is rolled back when the simulated program
         fidelity regresses (guard simulated under the default

@@ -26,6 +26,10 @@ from .rebalance import max_score_with_value, select_eviction
 #: any sane machine (each level frees one slot in a distinct full trap).
 _MAX_RESOLVE_DEPTH = 64
 
+#: Upper bound on evictions from one blocked trap before the ion in
+#: transit enters it.
+_MAX_BLOCK_RESOLUTIONS = 8
+
 
 class Router:
     """Emits shuttle ops into an op list while updating the machine state.
@@ -124,8 +128,18 @@ class Router:
         previous = src
         while current != dst:
             next_trap = next_hop[current][dst]
-            if state.is_full(next_trap):
+            # Re-check after each eviction: the eviction's own nested
+            # traffic-block resolution can refill the trap it freed.
+            resolutions = 0
+            while state.is_full(next_trap):
+                if resolutions == _MAX_BLOCK_RESOLUTIONS:
+                    raise CompilationError(
+                        f"trap {next_trap} stayed full after "
+                        f"{resolutions} evictions (routing ion {ion} "
+                        f"to trap {dst})"
+                    )
                 num_moves += self._resolve_block(next_trap, pinned, _depth)
+                resolutions += 1
             key = (ion, current, next_trap)
             op = moves.get(key)
             if op is None:

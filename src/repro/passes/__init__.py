@@ -3,14 +3,13 @@
 The compiler commits every SPLIT/MOVE/MERGE greedily; this package
 revisits the emitted :class:`~repro.sim.schedule.Schedule` with
 composable, individually-toggleable rewrite passes — round-trip
-elision, merge/split fusion, congestion re-routing, gate hoisting —
-each verified for machine legality and circuit equivalence before its
-output is accepted.  See :class:`PassManager` for the pipeline driver
+deletion with merge/split fusion, congestion re-routing, gate hoisting
+— each verified for machine legality and circuit equivalence before
+its output is accepted.  See :class:`PassManager` for the pipeline driver
 and :mod:`repro.passes.registry` for the pass catalogue.
 """
 
 from .base import Excursion, PassContext, SchedulePass
-from .elide import RoundTripElision
 from .fuse import MergeSplitFusion
 from .manager import (
     OptimizationResult,
@@ -30,7 +29,6 @@ from .reroute import RouteReselection
 from .tighten import GateHoisting
 from .verify import (
     VerificationError,
-    gate_multiset,
     is_legal,
     verify_equivalent,
     verify_schedule,
@@ -48,11 +46,9 @@ __all__ = [
     "PassManager",
     "PassStats",
     "RouteReselection",
-    "RoundTripElision",
     "SchedulePass",
     "VerificationError",
     "available_passes",
-    "gate_multiset",
     "is_legal",
     "make_passes",
     "optimize_schedule",

@@ -189,8 +189,8 @@ class SpliceEditor:
     the pass's result carries its columns without a re-encode.
 
     The engine is built on the first :meth:`try_edit`, not before: a
-    pass that finds no candidate (the common case for elision) pays no
-    replay at all.  It is built from ``schedule`` itself, so its
+    pass that finds no candidate (the common case for round-trip
+    deletion) pays no replay at all.  It is built from ``schedule`` itself, so its
     construction replay reads the schedule's own columns.
     """
 

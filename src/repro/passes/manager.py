@@ -27,8 +27,8 @@ nearest the first divergent op computes the legality verdict, the
 final chains *and* the program log-fidelity — bit-identical floats to
 a from-scratch replay, at a fraction of the work when the pass's
 edits cluster late in the stream.  Circuit equivalence is checked
-against a reference (gate multiset + per-qubit orders) precomputed
-once from the input schedule.
+against the input schedule's per-qubit gate sequences, precomputed
+once.
 
 The result records a per-pass stats delta so reports can attribute
 savings to individual rewrites.

@@ -11,16 +11,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .base import SchedulePass
-from .elide import RoundTripElision
 from .fuse import MergeSplitFusion
 from .reroute import RouteReselection
 from .tighten import GateHoisting
 
-#: name -> pass class, in default pipeline order: shuttle deletion
-#: first (elide), then journey fusion/shortening, then congestion
-#: re-routing, then clock tightening on the final op stream.
+#: name -> pass class, in default pipeline order: round-trip deletion
+#: and journey fusion/shortening first, then congestion re-routing,
+#: then clock tightening on the final op stream.
 PASS_REGISTRY: dict[str, type[SchedulePass]] = {
-    RoundTripElision.name: RoundTripElision,
     MergeSplitFusion.name: MergeSplitFusion,
     RouteReselection.name: RouteReselection,
     GateHoisting.name: GateHoisting,

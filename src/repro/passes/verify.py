@@ -8,10 +8,11 @@ compiler's forward state mutates, so the rules (ion placement, trap
 capacity, transit discipline, in-chain adjacency) cannot drift between
 layers — but without timing or noise observers, so a full legality
 check costs one linear scan.  :func:`verify_equivalent` then checks
-that an optimized schedule still executes the *same program*: the gate
-multiset is unchanged and every qubit sees its gates in the original
-order (which implies every dependency edge of the circuit DAG is
-respected).
+that an optimized schedule still executes the *same program*: every
+qubit sees the same gates in the original order.  That one rule implies
+an unchanged gate multiset (a gate acts on at least one qubit, so it
+appears in some qubit's sequence) and that every dependency edge of the
+circuit DAG is respected.
 
 The pass manager refuses to return any schedule that fails either check;
 individual passes also use :func:`is_legal` as the accept/revert oracle
@@ -19,8 +20,6 @@ for speculative rewrites.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from ..arch.machine import QCCDMachine
 from ..core.errors import MachineModelError
@@ -72,11 +71,6 @@ def is_legal(
     return True
 
 
-def gate_multiset(schedule: Schedule) -> Counter:
-    """Multiset of executed gates (name, qubits, params)."""
-    return Counter(op.gate for op in schedule.gate_ops())
-
-
 def qubit_gate_sequences(schedule: Schedule) -> dict[int, tuple]:
     """Per-qubit gate order: qubit -> tuple of gates touching it, in
     execution order.  Two schedules with equal sequences execute the
@@ -94,22 +88,21 @@ class EquivalenceReference:
     """Precomputed circuit-equivalence reference for one schedule.
 
     The pass manager compares every pass candidate against the *same*
-    original schedule; rebuilding the original's gate multiset and
-    per-qubit orders for each candidate doubled the equivalence cost.
-    Build the reference once per optimization run, then
-    :meth:`verify` each candidate against it — identical verdicts,
-    half the work.
+    original schedule, so the original's per-qubit gate sequences are
+    built once per optimization run and each candidate is
+    :meth:`verify`-ed against them.  The gate count is compared first
+    only so that a dropped or duplicated gate is reported as such.
     """
 
-    __slots__ = ("_multiset", "_sequences")
+    __slots__ = ("_num_gates", "_sequences")
 
     def __init__(self, schedule: Schedule) -> None:
-        self._multiset = gate_multiset(schedule)
+        self._num_gates = schedule.num_gates
         self._sequences = qubit_gate_sequences(schedule)
 
     def verify(self, candidate: Schedule) -> None:
         """Raise unless ``candidate`` executes the reference circuit."""
-        if gate_multiset(candidate) != self._multiset:
+        if candidate.num_gates != self._num_gates:
             raise VerificationError(
                 "optimized schedule changed the gate multiset"
             )
@@ -122,8 +115,8 @@ class EquivalenceReference:
 def verify_equivalent(before: Schedule, after: Schedule) -> None:
     """Raise unless ``after`` executes the same circuit as ``before``.
 
-    Equivalence = identical gate multiset and identical per-qubit gate
-    order (dependency edges preserved).  Shuttle structure is free to
-    differ — that is what the passes rewrite.
+    Equivalence = identical per-qubit gate sequences (so an identical
+    gate multiset, and dependency edges preserved).  Shuttle structure
+    is free to differ — that is what the passes rewrite.
     """
     EquivalenceReference(before).verify(after)

@@ -75,7 +75,6 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "post-compilation passes" in out
         for name in (
-            "elide-roundtrips",
             "fuse-merge-split",
             "reroute",
             "tighten-gates",
@@ -91,7 +90,7 @@ class TestOptimizeCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "elide-roundtrips" in out
+        assert "fuse-merge-split" in out
         assert "raw shuttles" in out and "opt shuttles" in out
         assert "shuttles" in out
 
@@ -103,7 +102,7 @@ class TestOptimizeCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "tighten-gates" in out
-        assert "elide-roundtrips" not in out
+        assert "fuse-merge-split" not in out
 
     def test_optimize_unknown_pass(self):
         with pytest.raises(SystemExit):

@@ -249,7 +249,7 @@ def rebuild(ops, deleted):
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_excursion_deletions_match_full_replay(name):
     """The pass-shaped edit: deleting whole excursions (round trips),
-    the splice the elision pass submits.  Candidates are built with
+    the splice round-trip deletion submits.  Candidates are built with
     :func:`rebuild`, the full-replay reference."""
     rng = random.Random(0xE11 + hash(name) % 31)
     machine = MACHINES[name]()

@@ -6,11 +6,14 @@ from repro.arch import linear_topology, uniform_machine
 from repro.circuits.gate import Gate
 from repro.compiler.config import CompilerConfig
 from repro.compiler.routing import Router
-from repro.compiler import CompilationError
+from repro.compiler import CompilationError, compile_circuit
 from repro.core.ops import MergeOp, MoveOp, ShuttleReason, SplitOp
 from repro.core.state import MachineState
+from repro.passes import verify_schedule
 from repro.sim.schedule import Schedule
 
+from corpus_util import CORPUS_CONFIGS, CORPUS_MACHINES, CORPUS_SEEDS
+from corpus_util import corpus_circuit
 from future_util import future_view
 
 
@@ -137,3 +140,33 @@ class TestTrafficBlocks:
             chains, traps=2, capacity=3, upcoming=upcoming
         )
         assert router.cheap_evict(0, frozenset()) is False
+
+
+class TestRefilledBlock:
+    """A nested eviction can refill the blocked trap it just freed; the
+    ion in transit must not then move into the full trap."""
+
+    def test_nested_eviction_refill_is_resolved(self):
+        # Ion 6 leaves trap 0, and the eviction resolving its own block
+        # sends ion 9 into trap 0; ion 0 in transit then found trap 0
+        # full again ("op 138: ion 0 moved into full trap 0").
+        circuit, machine = corpus_circuit("grid2x3", 2)
+        result = compile_circuit(circuit, machine, CompilerConfig.baseline())
+        verify_schedule(machine, result.schedule, result.initial_chains)
+
+    def test_trap_that_stays_full_raises(self, monkeypatch):
+        monkeypatch.setattr(Router, "_resolve_block", lambda *args: 0)
+        router, _, _ = make_router({0: [0], 1: [1, 2, 3]})
+        with pytest.raises(CompilationError, match="stayed full"):
+            router.route(0, 2, ShuttleReason.GATE, frozenset())
+
+
+@pytest.mark.parametrize("config", sorted(CORPUS_CONFIGS))
+@pytest.mark.parametrize("machine_name", sorted(CORPUS_MACHINES))
+def test_corpus_compiles_are_legal(machine_name, config):
+    """Every compiler configuration emits a legal schedule on every
+    small, congested corpus machine."""
+    for seed in CORPUS_SEEDS:
+        circuit, machine = corpus_circuit(machine_name, seed)
+        result = compile_circuit(circuit, machine, CORPUS_CONFIGS[config]())
+        verify_schedule(machine, result.schedule, result.initial_chains)
